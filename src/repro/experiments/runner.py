@@ -1,38 +1,45 @@
-"""Shared experiment execution with trace and result caching.
+"""Shared experiment execution: one pipeline, trace and result caching.
+
+Every simulation -- a serial run, a process-pool batch, a telemetered
+fleet, a service request or an audit grid point -- goes through one
+function, :func:`run_job`: generate the clean trace (memoised) →
+:func:`~repro.prefetch.insertion.insert_prefetches` →
+:class:`~repro.sim.engine.SimulationEngine`.  A
+:class:`SimulationJob` is its input and the single job identity:
+:func:`job_payload` (the disk-cache key shape) and :func:`job_label`
+(the progress/failure label) are defined on it once, and the service's
+:class:`~repro.service.contracts.ScenarioSpec` delegates to both.
+
+The clean-trace memo (:class:`TraceMemo`, a small LRU) belongs to
+whoever does the work: an :class:`ExperimentRunner` instance for
+in-process runs, :data:`PROCESS_TRACES` for pool workers and the audit
+grid.  Annotated (prefetch-inserted) traces are *not* cached: they are
+cheap to rebuild relative to simulation and expensive to hold.
 
 An :class:`ExperimentRunner` pins the experimental frame (CPU count,
-seed, workload scale) and memoises:
-
-* *clean traces* per (workload, restructured) -- generation is pure
-  Python and worth avoiding per strategy (a small LRU bounds memory);
-* *simulation results* per (workload, restructured, strategy, machine)
-  -- Figure 1, Table 2, Figure 2 and Figure 3 all share runs.
-
-Annotated (prefetch-inserted) traces are *not* cached: they are cheap
-to rebuild relative to simulation and expensive to hold.
-
-On top of the in-memory memo the runner optionally layers
+seed, workload scale) and memoises simulation results per (workload,
+restructured, strategy, machine) -- Figure 1, Table 2, Figure 2 and
+Figure 3 all share runs.  On top of that it optionally layers
 
 * a **persistent disk cache** (``disk_cache=``, see
   :mod:`repro.perf.diskcache`): results keyed by a content hash of the
   full simulation input -- workload spec, scale, seed, strategy,
   machine config and :data:`~repro.sim.engine.ENGINE_VERSION` -- so a
-  repeated bench session re-simulates nothing; and
-* a **process-parallel backend** (``max_workers=``): batch entry
-  points (:meth:`run_many`, and :meth:`sweep`/:meth:`compare` which
-  route through it) fan uncached simulations out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  Each simulation
-  is a pure function of its inputs, so parallel results are
-  *byte-identical* to serial ones; results always come back in job
-  order, never completion order; and
+  repeated bench session re-simulates nothing;
+* a **process-parallel backend** (``max_workers=``): :meth:`run_many`
+  (and :meth:`sweep`/:meth:`compare`, which route through it) runs its
+  uncached jobs over a :class:`~concurrent.futures.ProcessPoolExecutor`
+  instead of in-process -- the only branch in its job loop.  The
+  pipeline is a pure function of the job, so parallel results are
+  *byte-identical* to serial ones, always in job order; and
 * **fleet telemetry** (``telemetry=`` on :meth:`run_many`, see
-  :mod:`repro.telemetry`): a run ledger entry per simulation, live
-  worker heartbeats with a stall watchdog, per-run profiling and a
-  metrics registry.  Strictly opt-in -- without a
-  :class:`~repro.telemetry.fleet.TelemetryConfig` the runner takes its
-  original code paths and results are bit-identical.  Worker failures
-  in a telemetered batch never hang the pool or silently drop grid
-  points: every failed point is recorded (ledger ``outcome: error`` /
+  :mod:`repro.telemetry`): the same pipeline, which telemetry wraps
+  with heartbeats, profiling and spans, plus a run-ledger entry per
+  simulation, a stall watchdog and a metrics registry.  Without a
+  :class:`~repro.telemetry.fleet.TelemetryConfig` no monitor, sampler
+  or queue starts and a worker exception propagates as is.  With one,
+  worker failures never hang the pool or silently drop grid points:
+  every failed point is recorded (ledger ``outcome: error`` /
   ``timeout``) and surfaced in one structured
   :class:`~repro.telemetry.fleet.FleetError`.
 """
@@ -44,11 +51,13 @@ import os
 import queue as queue_module
 import signal
 import sys
+import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass
+from contextlib import ExitStack, nullcontext
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -58,22 +67,32 @@ from repro.metrics.results import RunMetrics
 from repro.perf.diskcache import ResultDiskCache, content_key
 from repro.prefetch.insertion import insert_prefetches
 from repro.prefetch.strategies import NP, PrefetchStrategy
-from repro.sim.engine import ENGINE_VERSION, simulate
-from repro.telemetry.fleet import (
-    FleetError,
-    JobFailure,
-    TelemetryConfig,
-    run_telemetered_job,
+from repro.sim.engine import ENGINE_VERSION, SimulationEngine
+from repro.telemetry.fleet import FleetError, JobFailure, TelemetryConfig
+from repro.telemetry.heartbeat import (
+    EngineSampler,
+    FleetMonitor,
+    HeartbeatSender,
+    Watchdog,
+    render_fleet_progress,
 )
-from repro.telemetry.heartbeat import FleetMonitor, Watchdog, render_fleet_progress
 from repro.telemetry.ledger import LedgerEntry
+from repro.telemetry.profiling import profiled
+from repro.telemetry.tracing import SpanTracer
 from repro.trace.stream import MultiTrace
 from repro.workloads.registry import generate_workload
 
 __all__ = [
     "DEFAULT_TRANSFER_LATENCIES",
     "ExperimentRunner",
+    "PROCESS_TRACES",
+    "SimulationJob",
     "StrategyResult",
+    "TraceMemo",
+    "WorkerProbe",
+    "job_label",
+    "job_payload",
+    "run_job",
     "run_strategy",
 ]
 
@@ -83,6 +102,9 @@ DEFAULT_TRANSFER_LATENCIES: tuple[int, ...] = (4, 8, 16, 32)
 #: Transfer latency used by the fixed-machine experiments (Figures 1, 3;
 #: Tables 3, 4).
 DEFAULT_FIGURE_LATENCY = 8
+
+#: Clean traces one :class:`TraceMemo` keeps (least recently used out).
+TRACE_MEMO_SIZE = 3
 
 
 @dataclass(frozen=True)
@@ -94,75 +116,355 @@ class StrategyResult:
     comparison: RunComparison
 
 
-def _strategy_key(strategy: PrefetchStrategy) -> tuple:
-    # PrefetchStrategy is a frozen dataclass: its equality/hash already
-    # covers every field, so the instance itself is the cache key.
-    return (strategy,)
+# ------------------------------------------------------------ job identity
+
+
+@dataclass(frozen=True)
+class SimulationJob:
+    """One simulation: a grid point plus the runner frame it runs in."""
+
+    workload: str
+    strategy: PrefetchStrategy
+    machine: MachineConfig
+    restructured: bool = False
+    num_cpus: int = 12
+    seed: int = 42
+    scale: float = 1.0
+    sim_config: SimulationConfig = field(default_factory=SimulationConfig)
+
+    @property
+    def trace_key(self) -> tuple:
+        """What the clean trace depends on (the :class:`TraceMemo` key)."""
+        return (self.workload, self.restructured, self.num_cpus, self.seed, self.scale)
+
+    @property
+    def strategy_label(self) -> str:
+        """The strategy name a result carries (``+restructured`` marked)."""
+        name = self.strategy.name
+        return f"{name}+restructured" if self.restructured else name
+
+
+def job_payload(job: SimulationJob) -> dict[str, Any]:
+    """The full simulation input, as hashed into the disk-cache key.
+
+    Every field that can change the result is present -- including
+    ``engine_version``, so behavior-altering engine changes never
+    serve stale entries.  ``content_key(job_payload(job))`` is also the
+    ledger's ``config_key`` and the service's dedup key.
+    """
+    return {
+        "workload": job.workload,
+        "restructured": job.restructured,
+        "num_cpus": job.num_cpus,
+        "seed": job.seed,
+        "scale": job.scale,
+        "strategy": asdict(job.strategy),
+        "machine": job.machine.describe(),
+        "engine_version": ENGINE_VERSION,
+    }
+
+
+def job_label(job: SimulationJob) -> str:
+    """Human-readable grid-point label (progress lines, failures, traces)."""
+    return f"{job.workload}/{job.strategy_label}@{job.machine.bus.transfer_cycles}c"
 
 
 def _machine_key(machine: MachineConfig) -> tuple:
     return tuple(sorted(machine.describe().items()))
 
 
-#: Per-worker-process clean-trace LRU (workers are reused across jobs,
-#: and jobs for the same workload shouldn't regenerate its trace).
-_WORKER_TRACES: OrderedDict[tuple, MultiTrace] = OrderedDict()
-_WORKER_TRACE_LIMIT = 3
+# --------------------------------------------------------------- pipeline
 
 
-def _simulate_job(
-    workload: str,
-    restructured: bool,
-    num_cpus: int,
-    seed: int,
-    scale: float,
-    strategy: PrefetchStrategy,
-    machine: MachineConfig,
-    sim_config: SimulationConfig | None = None,
-) -> dict[str, Any]:
-    """Run one simulation in a worker process.
+class TraceMemo:
+    """LRU of clean (NP) traces keyed by :attr:`SimulationJob.trace_key`.
 
-    Module-level so :class:`~concurrent.futures.ProcessPoolExecutor`
-    can pickle it.  Returns the metrics as a plain dict (picklable and
-    exactly what the disk cache stores) rather than a
-    :class:`RunMetrics`, keeping the wire format identical for
-    parallel, cached and remote results.
+    ``metadata`` keeps each generated trace's metadata past eviction
+    (it is small; the trace is not).
     """
-    tkey = (workload, restructured, num_cpus, seed, scale)
-    trace = _WORKER_TRACES.get(tkey)
-    if trace is None:
+
+    def __init__(self) -> None:
+        self._traces: OrderedDict[tuple, MultiTrace] = OrderedDict()
+        self.metadata: dict[tuple, dict[str, Any]] = {}
+
+    def get(self, key: tuple) -> MultiTrace | None:
+        """The memoised trace for ``key``, or None on a miss."""
+        trace = self._traces.get(key)
+        if trace is not None:
+            self._traces.move_to_end(key)
+        return trace
+
+    def generate(self, key: tuple) -> MultiTrace:
+        """Generate the trace for ``key`` and memoise it."""
+        workload, restructured, num_cpus, seed, scale = key
         trace = generate_workload(
-            workload,
-            num_cpus=num_cpus,
-            seed=seed,
-            scale=scale,
-            restructured=restructured,
+            workload, num_cpus=num_cpus, seed=seed, scale=scale, restructured=restructured
         )
-        _WORKER_TRACES[tkey] = trace
-        while len(_WORKER_TRACES) > _WORKER_TRACE_LIMIT:
-            _WORKER_TRACES.popitem(last=False)
-    else:
-        _WORKER_TRACES.move_to_end(tkey)
-    annotated, _report = insert_prefetches(trace, strategy, machine.cache)
-    label = strategy.name if not restructured else f"{strategy.name}+restructured"
-    result = simulate(
-        annotated,
-        machine,
-        strategy_name=label,
-        sim_config=sim_config if sim_config is not None else SimulationConfig(),
-        adaptive=strategy.adaptive_config(),
+        self._traces[key] = trace
+        self.metadata[key] = dict(trace.metadata)
+        while len(self._traces) > TRACE_MEMO_SIZE:
+            self._traces.popitem(last=False)
+        return trace
+
+
+#: Per-process memo for pool workers and the audit grid (workers are
+#: reused across jobs, and jobs for one workload share its trace).
+PROCESS_TRACES = TraceMemo()
+
+
+@dataclass(frozen=True)
+class WorkerProbe:
+    """The worker-side part of a :class:`TelemetryConfig` for one job.
+
+    Picklable (a queue and scalars), so it crosses the process boundary
+    that the config itself, holding live objects, never does.
+    """
+
+    queue: Any
+    index: int
+    heartbeat_interval: float
+    profile: bool
+    trace_ctx: tuple[str, str | None] | None
+
+
+_UNTRACED = SpanTracer(enabled=False)
+
+
+def run_job(
+    traces: TraceMemo, job: SimulationJob, probe: WorkerProbe | None = None
+) -> tuple[RunMetrics, dict[str, Any]]:
+    """Generate (memoised in ``traces``) → insert → simulate one job.
+
+    Returns the result and the run's stats: ``wall_seconds``,
+    ``events`` retired, ``worker_pid`` and ``profile_rows``.  A
+    ``probe`` (telemetered batches only) wraps the same steps with an
+    :class:`EngineSampler` beating its queue, optional ``cProfile``
+    capture of the simulation, and -- given a trace context --
+    ``worker.run`` spans with ``workload.generate`` (memo misses only),
+    ``prefetch.insert`` and ``engine.simulate`` children, shipped over
+    the queue as ``{"kind": "span"}`` messages (best-effort: a gone
+    parent never fails the run).
+    """
+    start = time.perf_counter()
+    label = job_label(job)
+    ctx = probe.trace_ctx if probe is not None else None
+    tracer = SpanTracer() if ctx is not None else _UNTRACED
+    trace_id, parent_id = ctx if ctx is not None else ("", None)
+    with tracer.begin("worker.run", trace_id, parent_id, label=label, pid=os.getpid()) as run:
+        trace = traces.get(job.trace_key)
+        if trace is None:
+            with tracer.begin("workload.generate", trace_id, run.span_id, label=label):
+                trace = traces.generate(job.trace_key)
+        with tracer.begin("prefetch.insert", trace_id, run.span_id, label=label):
+            annotated, _report = insert_prefetches(trace, job.strategy, job.machine.cache)
+        total_events = sum(len(cpu_trace) for cpu_trace in annotated.cpus)
+        with profiled(probe is not None and probe.profile) as profile_rows:
+            engine = SimulationEngine(
+                annotated, job.machine, job.sim_config, adaptive=job.strategy.adaptive_config()
+            )
+            beating: Any = nullcontext()
+            if probe is not None:
+                sender = HeartbeatSender(probe.queue, probe.heartbeat_interval)
+                beating = EngineSampler(
+                    engine, sender, probe.index, label, total_events, probe.heartbeat_interval
+                )
+            with tracer.begin(
+                "engine.simulate", trace_id, run.span_id, label=label, total_events=total_events
+            ) as sim, beating:
+                engine.run()
+                result = engine.collect_metrics(job.strategy_label)
+                sim.annotate(exec_cycles=engine.now)
+        events = sum(proc.pc for proc in engine.procs)
+        run.annotate(events=events)
+    stats = {
+        "wall_seconds": time.perf_counter() - start,
+        "events": events,
+        "worker_pid": os.getpid(),
+        "profile_rows": profile_rows,
+    }
+    for span in tracer.spans():  # empty unless traced
+        try:
+            probe.queue.put({"kind": "span", "span": span.to_dict()})
+        except Exception:
+            pass  # parent gone (shutdown race); spans are best-effort
+    return result, stats
+
+
+def _pool_job(
+    job: SimulationJob, probe: WorkerProbe | None
+) -> tuple[dict[str, Any], dict[str, Any]]:
+    """Process-pool entry: :func:`run_job` on this worker's memo.
+
+    The result crosses the process boundary as ``RunMetrics.to_dict()``
+    -- exactly what the disk cache stores.
+    """
+    result, stats = run_job(PROCESS_TRACES, job, probe)
+    return result.to_dict(), stats
+
+
+# ----------------------------------------------------------------- ledger
+
+
+def _ledger(
+    telemetry: TelemetryConfig,
+    job: SimulationJob,
+    outcome: str = "ok",
+    cache: str = "off",
+    result: RunMetrics | None = None,
+    stats: dict[str, Any] | None = None,
+    error: str | None = None,
+) -> None:
+    """Append one run -- fresh, disk hit or failed -- to the ledger."""
+    if telemetry.ledger is None:
+        return
+    stats = stats or {}
+    wall = stats.get("wall_seconds", 0.0)
+    events = stats.get("events", 0)
+    trace_ctx = telemetry.trace_context(job_label(job))
+    telemetry.ledger.append(
+        LedgerEntry(
+            config_key=content_key(job_payload(job)),
+            workload=job.workload,
+            restructured=job.restructured,
+            strategy=job.strategy.name,
+            machine=job.machine.describe(),
+            num_cpus=job.num_cpus,
+            seed=job.seed,
+            scale=job.scale,
+            engine_version=ENGINE_VERSION,
+            outcome=outcome,
+            cache=cache,
+            wall_seconds=round(wall, 6),
+            events=events,
+            events_per_sec=round(events / wall, 3) if wall > 0 else 0.0,
+            worker_pid=stats.get("worker_pid") or os.getpid(),
+            error=error,
+            summary=result.describe() if result is not None else {},
+            trace_id=trace_ctx[0] if trace_ctx is not None else None,
+        )
     )
-    return result.to_dict()
+
+
+class _Fleet:
+    """Telemetry around one batch's pending jobs.
+
+    Owns the heartbeat queue (a manager queue across processes, an
+    in-process one otherwise), the :class:`FleetMonitor` and watchdog,
+    and the failure list; turns each job's outcome into metrics and a
+    ledger entry.  The stall watchdog and ``job_timeout`` only *kill*
+    on the pool -- in-process there is no one to kill -- but stalls
+    are still flagged.
+    """
+
+    def __init__(
+        self,
+        telemetry: TelemetryConfig,
+        pending: list[tuple[tuple, SimulationJob]],
+        parallel: bool,
+        cache_state: str,
+    ) -> None:
+        self.telemetry = telemetry
+        self.parallel = parallel
+        self.metrics = telemetry.metrics()
+        self.cache_state = cache_state
+        self.total = len(pending)
+        self.labels = {j: job_label(job) for j, (_key, job) in enumerate(pending)}
+        self.failures: list[JobFailure] = []
+        self.manager = multiprocessing.Manager() if parallel else None
+        self.queue: Any = (
+            self.manager.Queue() if self.manager is not None else queue_module.SimpleQueue()
+        )
+        self.monitor = FleetMonitor(
+            self.queue,
+            self.labels,
+            watchdog=Watchdog(
+                stall_timeout=telemetry.stall_timeout,
+                kill=telemetry.kill_stalled and parallel,
+            ),
+            render=render_fleet_progress if telemetry.progress else None,
+            span_sink=telemetry.span_sink,
+        )
+        if telemetry.monitor_hook is not None:
+            try:
+                telemetry.monitor_hook(self.monitor)
+            except Exception:
+                pass  # the hook is observability; it never fails the batch
+
+    def __enter__(self) -> "_Fleet":
+        self.monitor.__enter__()
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        try:
+            self.monitor.__exit__(*exc_info)
+        finally:
+            if self.manager is not None:
+                self.manager.shutdown()
+            if self.telemetry.progress:
+                sys.stderr.write("\n")
+                sys.stderr.flush()
+
+    def probe(self, j: int) -> WorkerProbe:
+        return WorkerProbe(
+            self.queue,
+            j,
+            self.telemetry.heartbeat_interval,
+            self.telemetry.profile,
+            self.telemetry.trace_context(self.labels[j]),
+        )
+
+    def accept(self, job: SimulationJob, result: RunMetrics, stats: dict[str, Any]) -> None:
+        """Account one fresh result: metrics, merged profile, ledger."""
+        self.metrics["runs"].inc(outcome="ok")
+        self.metrics["cache"].inc(result=self.cache_state)
+        self.metrics["events"].inc(stats["events"])
+        self.metrics["wall"].observe(stats["wall_seconds"])
+        if self.telemetry.profile:
+            self.telemetry.merged_profile.merge(stats["profile_rows"])
+        _ledger(self.telemetry, job, cache=self.cache_state, result=result, stats=stats)
+
+    def fail(self, j: int, job: SimulationJob, exc: Exception) -> None:
+        """Record one failed job; kill its worker if it timed out."""
+        if self.parallel and isinstance(exc, FuturesTimeout):
+            kind, message = "timeout", f"no result within {self.telemetry.job_timeout:g}s"
+            pid = self.monitor.jobs[j].pid
+            if pid:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except OSError:
+                    pass
+        elif isinstance(exc, BrokenProcessPool) and self.monitor.jobs[j].stalled:
+            kind, message = "timeout", "worker killed after heartbeat stall"
+        elif isinstance(exc, BrokenProcessPool):
+            kind, message = "error", "worker pool broke (a worker process died)"
+        else:
+            kind, message = "error", str(exc) or type(exc).__name__
+        self.failures.append(JobFailure(index=j, label=self.labels[j], kind=kind, message=message))
+        self.metrics["runs"].inc(outcome=kind)
+        _ledger(self.telemetry, job, outcome=kind, error=message)
+
+    def raise_failures(self) -> None:
+        """Raise one :class:`FleetError` when any job failed."""
+        if not self.failures:
+            return
+        heads = "; ".join(f"{f.label}: {f.message}" for f in self.failures[:3])
+        more = f" (+{len(self.failures) - 3} more)" if len(self.failures) > 3 else ""
+        raise FleetError(
+            f"{len(self.failures)} of {self.total} grid points failed -- {heads}{more}",
+            self.failures,
+        )
+
+
+# ----------------------------------------------------------------- runner
 
 
 class ExperimentRunner:
-    """Caching façade over generate → insert → simulate.
+    """Caching façade over the :func:`run_job` pipeline.
 
     Args:
         num_cpus: processors for every run.
         seed: workload-generation seed.
         scale: workload work multiplier (trace length knob).
-        trace_cache_size: clean traces kept in memory (LRU).
         max_workers: worker processes for the batch entry points
             (:meth:`run_many`, :meth:`sweep`, :meth:`compare`).  None,
             0 or 1 keeps everything serial and in-process (default).
@@ -181,7 +483,6 @@ class ExperimentRunner:
         num_cpus: int = 12,
         seed: int = 42,
         scale: float = 1.0,
-        trace_cache_size: int = 3,
         max_workers: int | None = None,
         disk_cache: str | Path | None = None,
         sim_config: SimulationConfig | None = None,
@@ -192,95 +493,59 @@ class ExperimentRunner:
         self.max_workers = max_workers
         self.sim_config = sim_config if sim_config is not None else SimulationConfig()
         self.disk_cache = ResultDiskCache(disk_cache) if disk_cache else None
-        self._trace_cache: OrderedDict[tuple, MultiTrace] = OrderedDict()
-        self._trace_cache_size = trace_cache_size
+        self._traces = TraceMemo()
         self._results: dict[tuple, RunMetrics] = {}
-        self._trace_metadata: dict[tuple, dict[str, Any]] = {}
 
     def base_machine(self) -> MachineConfig:
         """The default machine for this runner's frame (matching CPUs)."""
         return MachineConfig(num_cpus=self.num_cpus)
 
+    def _job(
+        self,
+        workload: str,
+        strategy: PrefetchStrategy,
+        machine: MachineConfig,
+        restructured: bool = False,
+    ) -> SimulationJob:
+        return SimulationJob(
+            workload,
+            strategy,
+            machine,
+            restructured,
+            self.num_cpus,
+            self.seed,
+            self.scale,
+            self.sim_config,
+        )
+
     # --------------------------------------------------------------- traces
+
+    def _trace_key(self, workload: str, restructured: bool) -> tuple:
+        return self._job(workload, NP, self.base_machine(), restructured).trace_key
 
     def clean_trace(self, workload: str, restructured: bool = False) -> MultiTrace:
         """The NP (un-annotated) trace for a workload variant (cached)."""
-        key = (workload, restructured)
-        trace = self._trace_cache.get(key)
-        if trace is not None:
-            self._trace_cache.move_to_end(key)
-            return trace
-        trace = generate_workload(
-            workload,
-            num_cpus=self.num_cpus,
-            seed=self.seed,
-            scale=self.scale,
-            restructured=restructured,
-        )
-        self._trace_cache[key] = trace
-        self._trace_metadata[key] = dict(trace.metadata)
-        while len(self._trace_cache) > self._trace_cache_size:
-            self._trace_cache.popitem(last=False)
-        return trace
+        key = self._trace_key(workload, restructured)
+        trace = self._traces.get(key)
+        return trace if trace is not None else self._traces.generate(key)
 
     def trace_metadata(self, workload: str, restructured: bool = False) -> dict[str, Any]:
         """Metadata of a previously generated trace (generates if needed)."""
-        key = (workload, restructured)
-        if key not in self._trace_metadata:
-            self.clean_trace(workload, restructured)
-        return self._trace_metadata[key]
+        key = self._trace_key(workload, restructured)
+        if key not in self._traces.metadata:
+            self._traces.generate(key)
+        return self._traces.metadata[key]
 
     # ------------------------------------------------------------ disk cache
 
-    def _cache_payload(
-        self,
-        workload: str,
-        strategy: PrefetchStrategy,
-        machine: MachineConfig,
-        restructured: bool,
-    ) -> dict[str, Any]:
-        """The full simulation input, as hashed into the cache key.
-
-        Every field that can change the result is present -- including
-        ``engine_version``, so behavior-altering engine changes never
-        serve stale entries.
-        """
-        return {
-            "workload": workload,
-            "restructured": restructured,
-            "num_cpus": self.num_cpus,
-            "seed": self.seed,
-            "scale": self.scale,
-            "strategy": asdict(strategy),
-            "machine": machine.describe(),
-            "engine_version": ENGINE_VERSION,
-        }
-
-    def _disk_load(
-        self,
-        workload: str,
-        strategy: PrefetchStrategy,
-        machine: MachineConfig,
-        restructured: bool,
-    ) -> RunMetrics | None:
-        if self.disk_cache is None or self.sim_config.audit or self.sim_config.observe:
-            return None
-        payload = self._cache_payload(workload, strategy, machine, restructured)
-        data = self.disk_cache.load(content_key(payload))
-        return RunMetrics.from_dict(data) if data is not None else None
-
-    def _disk_store(
-        self,
-        workload: str,
-        strategy: PrefetchStrategy,
-        machine: MachineConfig,
-        restructured: bool,
-        result: RunMetrics,
-    ) -> None:
-        if self.disk_cache is None or self.sim_config.audit or self.sim_config.observe:
-            return
-        payload = self._cache_payload(workload, strategy, machine, restructured)
-        self.disk_cache.store(content_key(payload), result.to_dict(), payload)
+    @property
+    def _disk_cache_active(self) -> bool:
+        """Whether results go to and come from the disk cache."""
+        return (
+            self.disk_cache is not None
+            and not self.sim_config.audit
+            and not self.sim_config.observe
+        )
 
     # ----------------------------------------------------------------- runs
 
@@ -292,25 +557,7 @@ class ExperimentRunner:
         restructured: bool = False,
     ) -> RunMetrics:
         """Simulate one configuration (memoised, disk-cached)."""
-        key = (workload, restructured, _strategy_key(strategy), _machine_key(machine))
-        cached = self._results.get(key)
-        if cached is not None:
-            return cached
-        result = self._disk_load(workload, strategy, machine, restructured)
-        if result is None:
-            clean = self.clean_trace(workload, restructured)
-            annotated, _report = insert_prefetches(clean, strategy, machine.cache)
-            label = strategy.name if not restructured else f"{strategy.name}+restructured"
-            result = simulate(
-                annotated,
-                machine,
-                strategy_name=label,
-                sim_config=self.sim_config,
-                adaptive=strategy.adaptive_config(),
-            )
-            self._disk_store(workload, strategy, machine, restructured, result)
-        self._results[key] = result
-        return result
+        return self.run_many([(workload, strategy, machine, restructured)])[0]
 
     def run_many(
         self,
@@ -332,34 +579,26 @@ class ExperimentRunner:
         batch additionally appends a run-ledger entry per disk hit and
         per fresh simulation, streams worker heartbeats to a live fleet
         progress line with a stall watchdog, optionally profiles each
-        worker run, and updates the config's metrics registry.  A
-        worker failure no longer aborts the batch mid-flight: every
-        failed grid point is recorded in the ledger (``outcome:
+        run, and updates the config's metrics registry.  A worker
+        failure no longer aborts the batch mid-flight: every failed
+        grid point is recorded in the ledger (``outcome:
         error``/``timeout``) and collected into one
         :class:`~repro.telemetry.fleet.FleetError` raised after all
         surviving points have been stored.
         """
-        norm: list[tuple[str, PrefetchStrategy, MachineConfig, bool]] = []
-        for job in jobs:
-            if len(job) == 3:
-                workload, strategy, machine = job
-                restructured = False
-            else:
-                workload, strategy, machine, restructured = job
-            norm.append((workload, strategy, machine, restructured))
-
+        norm = [self._job(*job) for job in jobs]
         metrics = telemetry.metrics() if telemetry is not None else None
         results: list[RunMetrics | None] = [None] * len(norm)
         todo: dict[tuple, list[int]] = {}
         recorded: set[tuple] = set()
-        for i, (workload, strategy, machine, restructured) in enumerate(norm):
-            key = (workload, restructured, _strategy_key(strategy), _machine_key(machine))
+        for i, job in enumerate(norm):
+            key = (job.workload, job.restructured, job.strategy, _machine_key(job.machine))
             cached = self._results.get(key)
             hit_kind = "memo"
-            if cached is None:
-                cached = self._disk_load(workload, strategy, machine, restructured)
-                if cached is not None:
-                    self._results[key] = cached
+            if cached is None and self._disk_cache_active:
+                data = self.disk_cache.load(content_key(job_payload(job)))
+                if data is not None:
+                    cached = self._results[key] = RunMetrics.from_dict(data)
                     hit_kind = "hit"
             if cached is not None:
                 results[i] = cached
@@ -370,350 +609,76 @@ class ExperimentRunner:
                         # Memo hits stay out of the ledger: they were
                         # ledgered when first simulated or disk-loaded.
                         metrics["runs"].inc(outcome="ok")
-                        self._ledger_run(telemetry, norm[i], cached, cache="hit")
+                        _ledger(telemetry, job, cache="hit", result=cached)
             else:
                 todo.setdefault(key, []).append(i)
 
         pending = [(key, norm[indices[0]]) for key, indices in todo.items()]
-        if telemetry is not None:
-            self._run_pending_telemetered(pending, todo, results, telemetry, metrics)
-            return results
+        if pending:
+            self._run_pending(pending, todo, results, telemetry)
+        return results
 
-        workers = self.max_workers or 1
-        if len(pending) > 1 and workers > 1:
-            with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
-                futures = [
-                    pool.submit(
-                        _simulate_job,
-                        workload,
-                        restructured,
-                        self.num_cpus,
-                        self.seed,
-                        self.scale,
-                        strategy,
-                        machine,
-                        self.sim_config,
+    def _run_pending(
+        self,
+        pending: list[tuple[tuple, SimulationJob]],
+        todo: dict[tuple, list[int]],
+        results: list[RunMetrics | None],
+        telemetry: TelemetryConfig | None,
+    ) -> None:
+        """Run the uncached jobs in-process or over a pool, in job order.
+
+        Without telemetry the first exception propagates unchanged.
+        With it, each failure is recorded by the :class:`_Fleet` and
+        raised once at the end as a :class:`FleetError`, after the
+        surviving points are stored; pool results are awaited with
+        ``telemetry.job_timeout``, and a killed or crashed worker
+        becomes a structured failure instead of a hang.
+        """
+        workers = min(self.max_workers or 1, len(pending))
+        timeout = telemetry.job_timeout if telemetry is not None else None
+        with ExitStack() as stack:
+            fleet = None
+            if telemetry is not None:
+                fleet = stack.enter_context(
+                    _Fleet(
+                        telemetry,
+                        pending,
+                        workers > 1,
+                        "miss" if self._disk_cache_active else "off",
                     )
-                    for _key, (workload, strategy, machine, restructured) in pending
+                )
+            probes = [fleet.probe(j) if fleet else None for j in range(len(pending))]
+            futures = []
+            if workers > 1:
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+                futures = [
+                    pool.submit(_pool_job, job, probe)
+                    for (_key, job), probe in zip(pending, probes)
                 ]
-                for (key, job), future in zip(pending, futures):
-                    result = RunMetrics.from_dict(future.result())
-                    self._disk_store(*job, result)
+            for j, (key, job) in enumerate(pending):
+                try:
+                    if futures:
+                        data, stats = futures[j].result(timeout=timeout)
+                        result = RunMetrics.from_dict(data)
+                    else:
+                        result, stats = run_job(self._traces, job, probes[j])
+                except Exception as exc:
+                    if fleet is None:
+                        raise
+                    fleet.fail(j, job, exc)
+                else:
+                    if self._disk_cache_active:
+                        payload = job_payload(job)
+                        self.disk_cache.store(content_key(payload), result.to_dict(), payload)
                     self._results[key] = result
                     for i in todo[key]:
                         results[i] = result
-        else:
-            for key, (workload, strategy, machine, restructured) in pending:
-                result = self.run(workload, strategy, machine, restructured)
-                for i in todo[key]:
-                    results[i] = result
-        return results
-
-    # ------------------------------------------------------- telemetered path
-
-    def _job_label(self, job: tuple) -> str:
-        """Human-readable grid-point label for progress and failures."""
-        workload, strategy, machine, restructured = job
-        name = strategy.name if not restructured else f"{strategy.name}+restructured"
-        transfer = machine.describe().get("transfer_cycles", "?")
-        return f"{workload}/{name}@{transfer}c"
-
-    def _disk_cache_state(self) -> str:
-        """Ledger cache field for a fresh run: ``"miss"`` or ``"off"``."""
-        active = (
-            self.disk_cache is not None
-            and not self.sim_config.audit
-            and not self.sim_config.observe
-        )
-        return "miss" if active else "off"
-
-    def _ledger_run(
-        self,
-        telemetry: TelemetryConfig,
-        job: tuple,
-        result: RunMetrics,
-        cache: str,
-        wall_seconds: float = 0.0,
-        events: int = 0,
-        worker_pid: int = 0,
-    ) -> None:
-        """Append one successful run to the ledger (no-op without one)."""
-        if telemetry.ledger is None:
-            return
-        workload, strategy, machine, restructured = job
-        trace_ctx = telemetry.trace_context(self._job_label(job))
-        telemetry.ledger.append(
-            LedgerEntry(
-                config_key=content_key(
-                    self._cache_payload(workload, strategy, machine, restructured)
-                ),
-                workload=workload,
-                restructured=restructured,
-                strategy=strategy.name,
-                machine=machine.describe(),
-                num_cpus=self.num_cpus,
-                seed=self.seed,
-                scale=self.scale,
-                engine_version=ENGINE_VERSION,
-                outcome="ok",
-                cache=cache,
-                wall_seconds=round(wall_seconds, 6),
-                events=events,
-                events_per_sec=round(events / wall_seconds, 3) if wall_seconds > 0 else 0.0,
-                worker_pid=worker_pid or os.getpid(),
-                summary=result.describe(),
-                trace_id=trace_ctx[0] if trace_ctx is not None else None,
-            )
-        )
-
-    def _ledger_failure(
-        self,
-        telemetry: TelemetryConfig,
-        job: tuple,
-        outcome: str,
-        message: str,
-    ) -> None:
-        """Append one failed run to the ledger (no-op without one)."""
-        if telemetry.ledger is None:
-            return
-        workload, strategy, machine, restructured = job
-        trace_ctx = telemetry.trace_context(self._job_label(job))
-        telemetry.ledger.append(
-            LedgerEntry(
-                config_key=content_key(
-                    self._cache_payload(workload, strategy, machine, restructured)
-                ),
-                workload=workload,
-                restructured=restructured,
-                strategy=strategy.name,
-                machine=machine.describe(),
-                num_cpus=self.num_cpus,
-                seed=self.seed,
-                scale=self.scale,
-                engine_version=ENGINE_VERSION,
-                outcome=outcome,
-                cache="off",
-                worker_pid=os.getpid(),
-                error=message,
-                trace_id=trace_ctx[0] if trace_ctx is not None else None,
-            )
-        )
-
-    def _accept_envelope(
-        self,
-        key: tuple,
-        job: tuple,
-        envelope: dict[str, Any],
-        todo: dict[tuple, list[int]],
-        results: list[RunMetrics | None],
-        telemetry: TelemetryConfig,
-        metrics: dict[str, Any],
-    ) -> None:
-        """Store one telemetered worker result: memo, disk, ledger, metrics."""
-        result = RunMetrics.from_dict(envelope["metrics"])
-        self._disk_store(*job, result)
-        self._results[key] = result
-        for i in todo[key]:
-            results[i] = result
-        wall = envelope["wall_seconds"]
-        events = envelope["events"]
-        cache_state = self._disk_cache_state()
-        metrics["runs"].inc(outcome="ok")
-        metrics["cache"].inc(result=cache_state)
-        metrics["events"].inc(events)
-        metrics["wall"].observe(wall)
-        if telemetry.profile:
-            telemetry.merged_profile.merge(envelope["profile_rows"])
-        self._ledger_run(
-            telemetry,
-            job,
-            result,
-            cache=cache_state,
-            wall_seconds=wall,
-            events=events,
-            worker_pid=envelope["worker_pid"],
-        )
-
-    def _run_pending_telemetered(
-        self,
-        pending: list[tuple[tuple, tuple]],
-        todo: dict[tuple, list[int]],
-        results: list[RunMetrics | None],
-        telemetry: TelemetryConfig,
-        metrics: dict[str, Any],
-    ) -> None:
-        """Execute the uncached grid points with full fleet telemetry.
-
-        Parallel batches stream heartbeats over a manager queue; serial
-        ones over an in-process queue (same monitor, same progress
-        line).  ``job_timeout`` and the stall watchdog only *kill* on
-        the parallel backend -- in-process there is no one to kill --
-        but stalls are still flagged.  Failures are collected, ledgered
-        and raised once at the end as a :class:`FleetError`; surviving
-        points are stored normally first.
-        """
-        if not pending:
-            return
-        labels = {j: self._job_label(job) for j, (_key, job) in enumerate(pending)}
-        failures: list[JobFailure] = []
-        workers = self.max_workers or 1
-        parallel = len(pending) > 1 and workers > 1
-
-        def fail(j: int, job: tuple, kind: str, message: str) -> None:
-            failures.append(JobFailure(index=j, label=labels[j], kind=kind, message=message))
-            metrics["runs"].inc(outcome=kind)
-            self._ledger_failure(telemetry, job, kind, message)
-
-        watchdog = Watchdog(
-            stall_timeout=telemetry.stall_timeout,
-            kill=telemetry.kill_stalled and parallel,
-        )
-        render = render_fleet_progress if telemetry.progress else None
-
-        if parallel:
-            manager = multiprocessing.Manager()
-            beat_queue: Any = manager.Queue()
-        else:
-            manager = None
-            beat_queue = queue_module.SimpleQueue()
-        monitor = FleetMonitor(
-            beat_queue,
-            labels,
-            watchdog=watchdog,
-            render=render,
-            span_sink=telemetry.span_sink,
-        )
-        if telemetry.monitor_hook is not None:
-            try:
-                telemetry.monitor_hook(monitor)
-            except Exception:
-                pass  # the hook is observability; it never fails the batch
-        try:
-            with monitor:
-                if parallel:
-                    self._drain_telemetered_pool(
-                        pending, todo, results, telemetry, metrics, beat_queue, monitor, fail
-                    )
-                else:
-                    for j, (key, job) in enumerate(pending):
-                        workload, strategy, machine, restructured = job
-                        try:
-                            envelope = run_telemetered_job(
-                                workload,
-                                restructured,
-                                self.num_cpus,
-                                self.seed,
-                                self.scale,
-                                strategy,
-                                machine,
-                                self.sim_config,
-                                j,
-                                labels[j],
-                                queue=beat_queue,
-                                heartbeat_interval=telemetry.heartbeat_interval,
-                                profile=telemetry.profile,
-                                trace_ctx=telemetry.trace_context(labels[j]),
-                            )
-                        except Exception as exc:
-                            fail(j, job, "error", str(exc) or type(exc).__name__)
-                        else:
-                            self._accept_envelope(
-                                key, job, envelope, todo, results, telemetry, metrics
-                            )
-                        monitor.mark_done(j)
-        finally:
-            if manager is not None:
-                manager.shutdown()
-            if telemetry.progress:
-                sys.stderr.write("\n")
-                sys.stderr.flush()
-        if failures:
-            heads = "; ".join(f"{f.label}: {f.message}" for f in failures[:3])
-            more = f" (+{len(failures) - 3} more)" if len(failures) > 3 else ""
-            raise FleetError(
-                f"{len(failures)} of {len(pending)} grid points failed -- {heads}{more}",
-                failures,
-            )
-
-    def _drain_telemetered_pool(
-        self,
-        pending: list[tuple[tuple, tuple]],
-        todo: dict[tuple, list[int]],
-        results: list[RunMetrics | None],
-        telemetry: TelemetryConfig,
-        metrics: dict[str, Any],
-        beat_queue: Any,
-        monitor: FleetMonitor,
-        fail: Any,
-    ) -> None:
-        """Fan pending jobs over a pool; never hang on a dead worker.
-
-        Each future is awaited with ``telemetry.job_timeout``; on expiry
-        the worker (known from its heartbeats) is killed so pool
-        shutdown cannot block forever.  A killed or crashed worker
-        breaks the pool -- its own future and any still-unfinished ones
-        raise :class:`BrokenProcessPool` and are recorded as structured
-        failures (``timeout`` for jobs the watchdog flagged, ``error``
-        otherwise); completed results are kept.
-        """
-        labels = {j: self._job_label(job) for j, (_key, job) in enumerate(pending)}
-        workers = self.max_workers or 1
-        with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
-            futures = [
-                pool.submit(
-                    run_telemetered_job,
-                    workload,
-                    restructured,
-                    self.num_cpus,
-                    self.seed,
-                    self.scale,
-                    strategy,
-                    machine,
-                    self.sim_config,
-                    j,
-                    labels[j],
-                    beat_queue,
-                    telemetry.heartbeat_interval,
-                    telemetry.profile,
-                    telemetry.trace_context(labels[j]),
-                )
-                for j, (_key, (workload, strategy, machine, restructured)) in enumerate(
-                    pending
-                )
-            ]
-            for j, ((key, job), future) in enumerate(zip(pending, futures)):
-                try:
-                    envelope = future.result(timeout=telemetry.job_timeout)
-                except FuturesTimeout:
-                    fail(
-                        j,
-                        job,
-                        "timeout",
-                        f"no result within {telemetry.job_timeout:g}s",
-                    )
-                    pid = monitor.jobs[j].pid
-                    if pid:
-                        try:
-                            os.kill(pid, signal.SIGKILL)
-                        except OSError:
-                            pass
-                except BrokenProcessPool:
-                    stalled = monitor.jobs[j].stalled
-                    fail(
-                        j,
-                        job,
-                        "timeout" if stalled else "error",
-                        "worker killed after heartbeat stall"
-                        if stalled
-                        else "worker pool broke (a worker process died)",
-                    )
-                except Exception as exc:
-                    fail(j, job, "error", str(exc) or type(exc).__name__)
-                else:
-                    self._accept_envelope(
-                        key, job, envelope, todo, results, telemetry, metrics
-                    )
-                monitor.mark_done(j)
+                    if fleet is not None:
+                        fleet.accept(job, result, stats)
+                if fleet is not None:
+                    fleet.monitor.mark_done(j)
+        if fleet is not None:
+            fleet.raise_failures()
 
     def compare(
         self,

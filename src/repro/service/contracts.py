@@ -23,10 +23,12 @@ import dataclasses
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from functools import cached_property
 from typing import Any, Protocol, runtime_checkable
 
 from repro.common.config import MachineConfig
 from repro.common.errors import ConfigurationError
+from repro.experiments.runner import SimulationJob, job_label, job_payload
 from repro.perf.diskcache import content_key
 from repro.prefetch.strategies import (
     AdaptiveStrategy,
@@ -157,36 +159,39 @@ class ScenarioSpec:
         machine = MachineConfig(num_cpus=self.num_cpus, protocol=self.protocol)
         return machine.with_transfer_cycles(self.transfer_cycles)
 
+    @cached_property
+    def _job(self) -> SimulationJob:
+        """This spec as a runner job (built once; the spec is frozen)."""
+        return SimulationJob(
+            self.workload,
+            self.strategy_obj(),
+            self.machine(),
+            self.restructured,
+            self.num_cpus,
+            self.seed,
+            self.scale,
+        )
+
     @property
     def label(self) -> str:
-        """Human-readable grid-point label (the fleet's progress label)."""
-        name = self.strategy_obj().name
-        if self.restructured:
-            name += "+restructured"
-        return f"{self.workload}/{name}@{self.transfer_cycles}c"
+        """Human-readable grid-point label (the fleet's progress label).
+
+        :func:`~repro.experiments.runner.job_label` of this spec's job,
+        so a :class:`~repro.telemetry.fleet.FleetError` names failures
+        by exactly this label.
+        """
+        return job_label(self._job)
 
     # -------------------------------------------------------------- identity
 
     def payload(self) -> dict[str, Any]:
         """The full simulation input, in the disk cache's key shape.
 
-        Field-for-field identical to the payload
-        :class:`~repro.experiments.runner.ExperimentRunner` hashes, so
-        ``content_key(spec.payload())`` is the disk cache's key and the
-        ledger's ``config_key`` for the same run (a test pins this).
+        :func:`~repro.experiments.runner.job_payload` of this spec's
+        job, so ``content_key(spec.payload())`` is the disk cache's key
+        and the ledger's ``config_key`` for the same run.
         """
-        from repro.sim.engine import ENGINE_VERSION
-
-        return {
-            "workload": self.workload,
-            "restructured": self.restructured,
-            "num_cpus": self.num_cpus,
-            "seed": self.seed,
-            "scale": self.scale,
-            "strategy": asdict(self.strategy_obj()),
-            "machine": self.machine().describe(),
-            "engine_version": ENGINE_VERSION,
-        }
+        return job_payload(self._job)
 
     @property
     def config_key(self) -> str:

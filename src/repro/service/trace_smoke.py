@@ -69,6 +69,8 @@ EXPECTED_STAGES = {
     "execute",
     "executor.dispatch",
     "worker.run",
+    "workload.generate",
+    "prefetch.insert",
     "engine.simulate",
 }
 

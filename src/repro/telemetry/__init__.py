@@ -16,8 +16,8 @@ the experiment fleet is doing right now and what it has done before.
 * :mod:`~repro.telemetry.drift` -- paper-drift detection: replay the
   key Tullsen & Eggers comparisons against tolerance bands.
 * :mod:`~repro.telemetry.fleet` -- :class:`TelemetryConfig` (the knob
-  bundle ``ExperimentRunner.run_many`` accepts) and the telemetered
-  pool worker.
+  bundle ``ExperimentRunner.run_many`` accepts) and the structured
+  :class:`FleetError` of a batch with failed grid points.
 * :mod:`~repro.telemetry.tracing` -- end-to-end request tracing:
   dependency-free spans (trace/span/parent ids), a ring-buffered
   collector, and Chrome-trace stitching of service stages over the
@@ -31,9 +31,11 @@ the experiment fleet is doing right now and what it has done before.
   continuous serve-loop evaluator and the ``repro slo check``
   regression sentinel share it.
 
-Telemetry is strictly opt-in: a runner without a
-:class:`~repro.telemetry.fleet.TelemetryConfig` takes its original
-code paths and produces bit-identical results.
+Telemetry is strictly opt-in and never forks the simulation: a
+telemetered run goes through the same pipeline
+(:func:`repro.experiments.runner.run_job`), which telemetry wraps with
+heartbeats, profiling and spans, so results are bit-identical with or
+without a :class:`~repro.telemetry.fleet.TelemetryConfig`.
 """
 
 from repro.telemetry.drift import (

@@ -1,53 +1,38 @@
-"""Fleet plumbing: telemetry configuration and the telemetered worker job.
+"""Fleet plumbing: telemetry configuration, failures and cache gauges.
 
 :class:`TelemetryConfig` is the one knob bundle a caller hands to
-:meth:`repro.experiments.runner.ExperimentRunner.run_many`; ``None``
-(the default) keeps the runner on its original code paths, so
-un-telemetered runs stay bit-identical.  The config carries the ledger,
-progress rendering, heartbeat/watchdog tuning, per-job timeout,
-profiling switch, metrics registry and the fleet-wide merged profile.
+:meth:`repro.experiments.runner.ExperimentRunner.run_many`.  Telemetry
+wraps the runner's one pipeline (:func:`repro.experiments.runner.run_job`)
+rather than forking it: with a config, each run additionally beats a
+heartbeat queue, is optionally profiled and traced, and lands in the
+ledger; ``None`` (the default) adds nothing, and results are the same
+either way.  The config carries the ledger, progress rendering,
+heartbeat/watchdog tuning, per-job timeout, profiling switch, metrics
+registry and the fleet-wide merged profile.
 
-:func:`run_telemetered_job` is the process-pool worker for telemetered
-batches: the same generate → insert → simulate pipeline as the plain
-``_simulate_job``, plus a heartbeat sampler on the running engine, an
-optional ``cProfile`` wrap, and a result envelope with wall time,
-events retired and the worker PID -- everything a ledger entry needs.
+A telemetered batch reports failed grid points as one
+:class:`FleetError` holding a :class:`JobFailure` per point.
 
-This module imports engine primitives directly (never the runner): the
-runner imports *us*, and the dependency edge stays one-way.
+This module never imports the runner: the runner imports *us*, and the
+dependency edge stays one-way.
 """
 
 from __future__ import annotations
 
-import os
-import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.common.config import MachineConfig, SimulationConfig
 from repro.common.errors import ReproError
-from repro.prefetch.insertion import insert_prefetches
-from repro.prefetch.strategies import PrefetchStrategy
-from repro.sim.engine import SimulationEngine
-from repro.telemetry.heartbeat import (
-    DEFAULT_BEAT_INTERVAL,
-    DEFAULT_STALL_TIMEOUT,
-    EngineSampler,
-    HeartbeatSender,
-)
+from repro.telemetry.heartbeat import DEFAULT_BEAT_INTERVAL, DEFAULT_STALL_TIMEOUT
 from repro.telemetry.ledger import RunLedger
-from repro.telemetry.profiling import MergedProfile, profiled
+from repro.telemetry.profiling import MergedProfile
 from repro.telemetry.registry import MetricsRegistry
-from repro.trace.stream import MultiTrace
-from repro.workloads.registry import generate_workload
 
 __all__ = [
     "FleetError",
     "JobFailure",
     "TelemetryConfig",
     "export_cache_stats",
-    "run_telemetered_job",
 ]
 
 
@@ -139,8 +124,10 @@ class TelemetryConfig:
             None (the default) changes nothing.
         trace_contexts: per-label trace propagation for end-to-end
             request tracing: ``{job_label: (trace_id, parent_span_id)}``.
-            Workers whose label has a context emit ``worker.run`` /
-            ``engine.simulate`` spans over the heartbeat queue (see
+            Workers whose label has a context emit a ``worker.run`` span
+            with ``workload.generate`` (memo misses only),
+            ``prefetch.insert`` and ``engine.simulate`` children over
+            the heartbeat queue (see
             :mod:`repro.telemetry.tracing`); labels without one run
             untraced.  None (the default) traces nothing.
         span_sink: parent-side destination for those worker spans
@@ -183,134 +170,3 @@ class TelemetryConfig:
                 "repro_run_wall_seconds", "Wall time per fresh simulation run"
             ),
         }
-
-
-#: Per-worker-process clean-trace LRU for telemetered jobs, mirroring
-#: the runner's ``_WORKER_TRACES`` (separate dict: different module,
-#: same reuse pattern, no import cycle).
-_WORKER_TRACES: OrderedDict[tuple, MultiTrace] = OrderedDict()
-_WORKER_TRACE_LIMIT = 3
-
-
-def run_telemetered_job(
-    workload: str,
-    restructured: bool,
-    num_cpus: int,
-    seed: int,
-    scale: float,
-    strategy: PrefetchStrategy,
-    machine: MachineConfig,
-    sim_config: SimulationConfig | None,
-    job: int,
-    label: str,
-    queue: Any = None,
-    heartbeat_interval: float = DEFAULT_BEAT_INTERVAL,
-    profile: bool = False,
-    trace_ctx: tuple[str, str | None] | None = None,
-) -> dict[str, Any]:
-    """Run one simulation in a worker, streaming heartbeats.
-
-    Same pipeline and wire format as the plain worker job -- the
-    ``metrics`` field of the returned envelope is byte-identical to an
-    un-telemetered run of the same inputs -- wrapped with:
-
-    * an :class:`EngineSampler` beating ``queue`` (when given) from a
-      daemon thread while the engine runs;
-    * optional ``cProfile`` capture (``profile_rows`` in the envelope);
-    * wall time, events retired and the worker PID for the ledger;
-    * with ``trace_ctx`` (a ``(trace_id, parent_span_id)`` pair),
-      ``worker.run`` and ``engine.simulate`` spans shipped back over
-      the same ``queue`` the heartbeats ride, as
-      ``{"kind": "span", "span": {...}}`` messages the parent-side
-      :class:`~repro.telemetry.heartbeat.FleetMonitor` routes to its
-      span sink.  Span emission is best-effort: a gone parent or full
-      queue never fails the simulation.
-    """
-    start = time.perf_counter()
-    sender = HeartbeatSender(queue, heartbeat_interval) if queue is not None else None
-    spans: list[Any] = []
-    worker_span: Any = None
-    if trace_ctx is not None and queue is not None:
-        from repro.telemetry.tracing import Span, new_span_id
-
-        trace_id, parent_span_id = trace_ctx
-        worker_span = Span(
-            name="worker.run",
-            trace_id=trace_id,
-            span_id=new_span_id(),
-            parent_id=parent_span_id,
-            start=time.time(),
-            attributes={"label": label, "pid": os.getpid()},
-        )
-        spans.append(worker_span)
-
-    tkey = (workload, restructured, num_cpus, seed, scale)
-    trace = _WORKER_TRACES.get(tkey)
-    if trace is None:
-        trace = generate_workload(
-            workload,
-            num_cpus=num_cpus,
-            seed=seed,
-            scale=scale,
-            restructured=restructured,
-        )
-        _WORKER_TRACES[tkey] = trace
-        while len(_WORKER_TRACES) > _WORKER_TRACE_LIMIT:
-            _WORKER_TRACES.popitem(last=False)
-    else:
-        _WORKER_TRACES.move_to_end(tkey)
-
-    annotated, _report = insert_prefetches(trace, strategy, machine.cache)
-    total_events = sum(len(cpu_trace) for cpu_trace in annotated.cpus)
-    strategy_label = strategy.name if not restructured else f"{strategy.name}+restructured"
-
-    with profiled(profile) as profile_rows:
-        engine = SimulationEngine(
-            annotated,
-            machine,
-            sim_config if sim_config is not None else SimulationConfig(),
-            adaptive=strategy.adaptive_config(),
-        )
-        if worker_span is not None:
-            from repro.telemetry.tracing import Span, new_span_id
-
-            engine_span = Span(
-                name="engine.simulate",
-                trace_id=worker_span.trace_id,
-                span_id=new_span_id(),
-                parent_id=worker_span.span_id,
-                start=time.time(),
-                attributes={"label": label, "total_events": total_events},
-            )
-            spans.append(engine_span)
-            sim_t0 = time.perf_counter()
-        if sender is not None:
-            sampler = EngineSampler(
-                engine, sender, job, label, total_events, heartbeat_interval
-            )
-            with sampler:
-                engine.run()
-        else:
-            engine.run()
-        result = engine.collect_metrics(strategy_label)
-        if worker_span is not None:
-            engine_span.duration = time.perf_counter() - sim_t0
-            engine_span.attributes["exec_cycles"] = engine.now
-
-    wall = time.perf_counter() - start
-    events = sum(proc.pc for proc in engine.procs)
-    if worker_span is not None:
-        worker_span.duration = wall
-        worker_span.attributes["events"] = events
-        for span in spans:
-            try:
-                queue.put({"kind": "span", "span": span.to_dict()})
-            except Exception:
-                pass  # parent gone (shutdown race); spans are best-effort
-    return {
-        "metrics": result.to_dict(),
-        "wall_seconds": wall,
-        "events": events,
-        "worker_pid": os.getpid(),
-        "profile_rows": profile_rows,
-    }

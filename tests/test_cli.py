@@ -190,7 +190,8 @@ class TestTraceCli:
         assert main(args) == 0
         doc = json.loads(capsys.readouterr().out)
         assert list(doc["trace_ids"]) == ["Water/NP@4c"]
-        assert doc["spans_recorded"] == 2  # worker.run + engine.simulate
+        # worker.run + workload.generate + prefetch.insert + engine.simulate
+        assert doc["spans_recorded"] == 4
         # The ledger line for the run carries the same trace id.
         from repro.telemetry.ledger import RunLedger
 

@@ -17,7 +17,7 @@ import pytest
 from repro.bus.bus import BusStats
 from repro.bus.transaction import TransactionKind
 from repro.common.config import MachineConfig
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, job_payload
 from repro.metrics.results import CpuMetrics, MissCounts, RunMetrics
 from repro.perf.bench import (
     MicrobenchResult,
@@ -211,7 +211,7 @@ class TestDiskCache:
 
     def test_engine_version_partitions_the_cache(self, tmp_path):
         runner = ExperimentRunner(num_cpus=4, scale=0.1, disk_cache=tmp_path / "c")
-        payload = runner._cache_payload("Water", NP, MachineConfig(num_cpus=4), False)
+        payload = job_payload(runner._job("Water", NP, MachineConfig(num_cpus=4)))
         assert payload["engine_version"] == ENGINE_VERSION
         bumped = {**payload, "engine_version": payload["engine_version"] + "-next"}
         assert content_key(payload) != content_key(bumped)
@@ -244,21 +244,35 @@ class TestWordMaskMemoBound:
 
 
 class TestParallelRunner:
-    def test_parallel_matches_serial_byte_for_byte(self, tmp_path):
-        """The 2x2 mini-grid simulated through the process pool is
-        byte-identical to the serial in-process run."""
+    @pytest.mark.parametrize("workers", [None, 2], ids=["inprocess", "pool"])
+    @pytest.mark.parametrize("telemetered", [False, True], ids=["plain", "telemetered"])
+    def test_parallel_matches_serial_byte_for_byte(self, tmp_path, workers, telemetered):
+        """Every run path -- in-process or pool, with or without fleet
+        telemetry -- gives results byte-identical to a plain serial run
+        of the same mini-grid (which includes ADAPT and a restructured
+        Pverify point)."""
+        from repro.prefetch.strategies import strategy_by_name
+        from repro.telemetry.fleet import TelemetryConfig
+        from repro.telemetry.ledger import RunLedger
+
         machine = MachineConfig(num_cpus=4)
         jobs = [
             ("Water", NP, machine),
             ("Water", PREF, machine),
             ("Mp3d", NP, machine),
             ("Mp3d", PREF, machine),
+            ("Water", strategy_by_name("ADAPT"), machine),
+            ("Pverify", PWS, machine, True),
         ]
         serial = ExperimentRunner(num_cpus=4, scale=0.1).run_many(jobs)
-        parallel = ExperimentRunner(num_cpus=4, scale=0.1, max_workers=2).run_many(jobs)
+        telemetry = TelemetryConfig(ledger=RunLedger(tmp_path)) if telemetered else None
+        runner = ExperimentRunner(num_cpus=4, scale=0.1, max_workers=workers)
+        other = runner.run_many(jobs, telemetry=telemetry)
         assert json.dumps([r.to_dict() for r in serial], sort_keys=True) == json.dumps(
-            [r.to_dict() for r in parallel], sort_keys=True
+            [r.to_dict() for r in other], sort_keys=True
         )
+        if telemetered:
+            assert len(list(telemetry.ledger.entries())) == len(jobs)
 
     def test_run_many_collapses_duplicates_and_keeps_order(self):
         machine = MachineConfig(num_cpus=4)
@@ -374,10 +388,20 @@ class TestBench:
         args = ["bench", "--quick", "--cpus", "2", "--scale", "0.05", "--file", path]
         assert main(args + ["--update"]) == 0
         assert load_report(path)["current"]["events_per_sec"] > 0
-        # immediate re-check against the measurement we just took passes
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "regression check" in out
+        # Both branches of the check against written references: one no
+        # host can miss passes, one no host can reach fails loudly.  (A
+        # re-check against the measurement just taken would compare two
+        # 1-second samples of the host's noise.)
+        for reference, status, verdict in ((1.0, 0, "ok"), (1e12, 1, "REGRESSION")):
+            report = load_report(path)
+            report["current"]["events_per_sec"] = reference
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(report, fh)
+            capsys.readouterr()
+            assert main(args) == status
+            out = capsys.readouterr().out
+            assert "regression check" in out
+            assert f"({verdict})" in out
 
 
 # ------------------------------------------------------- cache size cap

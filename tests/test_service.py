@@ -20,7 +20,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.common.errors import ConfigurationError, ReproError
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, job_payload
 from repro.perf.diskcache import ResultDiskCache
 from repro.prefetch.strategies import strategy_by_name
 from repro.service.api import ReproService, ServiceConfig, serve_in_thread
@@ -33,7 +33,7 @@ from repro.service.contracts import (
 )
 from repro.service.scheduler import RunScheduler
 from repro.service.store import InMemoryRunStore, LedgerRunStore, spec_from_ledger_entry
-from repro.telemetry.fleet import TelemetryConfig, export_cache_stats
+from repro.telemetry.fleet import FleetError, TelemetryConfig, export_cache_stats
 from repro.telemetry.ledger import LedgerEntry, RunLedger
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.timeseries import TimeSeriesStore
@@ -57,8 +57,8 @@ class TestScenarioSpec:
         """The service, disk cache and ledger must hash identically."""
         spec = ScenarioSpec(**QUICK, strategy="PWS", restructured=True, seed=7)
         runner = ExperimentRunner(num_cpus=spec.num_cpus, seed=spec.seed, scale=spec.scale)
-        runner_payload = runner._cache_payload(
-            spec.workload, spec.strategy_obj(), spec.machine(), spec.restructured
+        runner_payload = job_payload(
+            runner._job(spec.workload, spec.strategy_obj(), spec.machine(), spec.restructured)
         )
         assert spec.payload() == runner_payload
 
@@ -70,6 +70,26 @@ class TestScenarioSpec:
     def test_label_matches_fleet_label(self):
         spec = ScenarioSpec(**QUICK, strategy="PREF", restructured=True)
         assert spec.label == "Water/PREF+restructured@4c"
+
+    def test_label_matches_fleet_error_label(self, monkeypatch):
+        """The scheduler maps FleetError failures back to specs by label."""
+        import repro.experiments.runner as runner_mod
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("insertion failed")
+
+        monkeypatch.setattr(runner_mod, "insert_prefetches", broken)
+        specs = [
+            ScenarioSpec(**QUICK, strategy="PREF(d=400)"),
+            ScenarioSpec(**QUICK, strategy="ADAPT", adapt_high=0.9, adapt_low=0.8, adapt_window=64),
+            ScenarioSpec(**{**QUICK, "workload": "Pverify"}, strategy="PWS", restructured=True),
+        ]
+        runner = ExperimentRunner(num_cpus=QUICK["num_cpus"], scale=QUICK["scale"])
+        jobs = [(s.workload, s.strategy_obj(), s.machine(), s.restructured) for s in specs]
+        with pytest.raises(FleetError) as info:
+            runner.run_many(jobs, telemetry=TelemetryConfig())
+        assert [f.label for f in info.value.failures] == [s.label for s in specs]
+        assert specs[0].label == "Water/PREF(d=400)@4c"
 
     def test_distinct_fields_distinct_keys(self):
         base = ScenarioSpec(**QUICK)

@@ -617,13 +617,13 @@ class TestTelemeteredRunner:
         """
         import time
 
-        from repro.common.config import SimulationConfig
-        from repro.experiments.runner import _simulate_job
-        from repro.telemetry.fleet import run_telemetered_job
+        from repro.experiments.runner import SimulationJob, TraceMemo, WorkerProbe, run_job
 
-        machine = MachineConfig(num_cpus=12)
-        args = ("Water", False, 12, 42, 0.25, PREF, machine, SimulationConfig())
+        job = SimulationJob("Water", PREF, MachineConfig(num_cpus=12), scale=0.25)
+        traces = TraceMemo()
+        traces.generate(job.trace_key)  # time insert + simulate, not generation
         beats = queue_module.SimpleQueue()
+        probe = WorkerProbe(beats, 0, 0.1, False, None)
 
         def timed(f):
             t0 = time.perf_counter()
@@ -632,14 +632,8 @@ class TestTelemeteredRunner:
 
         plain, telemetered = [], []
         for _ in range(3):  # interleaved so load spikes hit both sides
-            plain.append(timed(lambda: _simulate_job(*args)))
-            telemetered.append(
-                timed(
-                    lambda: run_telemetered_job(
-                        *args, 0, "Water/PREF", queue=beats, heartbeat_interval=0.1
-                    )
-                )
-            )
+            plain.append(timed(lambda: run_job(traces, job)))
+            telemetered.append(timed(lambda: run_job(traces, job, probe)))
         assert min(telemetered) <= min(plain) * 1.5
         drained = 0
         while True:

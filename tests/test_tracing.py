@@ -15,11 +15,17 @@ import queue as queue_module
 
 import pytest
 
-from repro.common.config import MachineConfig, SimulationConfig
-from repro.experiments.runner import ExperimentRunner
+from repro.common.config import BusConfig, MachineConfig, SimulationConfig
+from repro.experiments.runner import (
+    ExperimentRunner,
+    SimulationJob,
+    TraceMemo,
+    WorkerProbe,
+    run_job,
+)
 from repro.obs.export import chrome_trace
 from repro.prefetch.strategies import PREF
-from repro.telemetry.fleet import TelemetryConfig, run_telemetered_job
+from repro.telemetry.fleet import TelemetryConfig
 from repro.telemetry.heartbeat import FleetMonitor
 from repro.telemetry.tracing import (
     SERVICE_PID,
@@ -270,39 +276,50 @@ class TestWaterfall:
         assert "no service spans" in text
 
 
+_JOB = SimulationJob(
+    "Water", PREF, MachineConfig(num_cpus=2, bus=BusConfig(transfer_cycles=4)),
+    num_cpus=2, scale=0.02,
+)
+
+
 class TestWorkerSpanPropagation:
     def test_worker_ships_spans_over_queue_into_sink(self):
-        """worker.run + engine.simulate cross the heartbeat queue."""
+        """worker.run and its stage spans cross the heartbeat queue."""
         trace_id = new_trace_id()
         parent = new_span_id()
         beat_queue: queue_module.SimpleQueue = queue_module.SimpleQueue()
-        run_telemetered_job(
-            "Water", False, 2, 42, 0.02, PREF, MachineConfig(num_cpus=2),
-            None, 0, "Water/PREF@4c",
-            queue=beat_queue,
-            trace_ctx=(trace_id, parent),
-        )
+        run_job(TraceMemo(), _JOB, WorkerProbe(beat_queue, 0, 1.0, False, (trace_id, parent)))
         tracer = SpanTracer()
         monitor = FleetMonitor(
             beat_queue, {0: "Water/PREF@4c"}, span_sink=tracer.record_dict
         )
         monitor.tick()
         spans = {s.name: s for s in tracer.spans(trace_id)}
-        assert set(spans) == {"worker.run", "engine.simulate"}
+        assert set(spans) == {
+            "worker.run", "workload.generate", "prefetch.insert", "engine.simulate"
+        }
         worker = spans["worker.run"]
         engine = spans["engine.simulate"]
         assert worker.parent_id == parent
-        assert engine.parent_id == worker.span_id
+        for stage in ("workload.generate", "prefetch.insert", "engine.simulate"):
+            assert spans[stage].parent_id == worker.span_id
         assert engine.attributes["exec_cycles"] > 0
         assert worker.duration >= engine.duration > 0
 
+    def test_memo_hit_ships_no_generate_span(self):
+        traces = TraceMemo()
+        traces.generate(_JOB.trace_key)
+        trace_id = new_trace_id()
+        beat_queue: queue_module.SimpleQueue = queue_module.SimpleQueue()
+        run_job(traces, _JOB, WorkerProbe(beat_queue, 0, 1.0, False, (trace_id, None)))
+        tracer = SpanTracer()
+        FleetMonitor(beat_queue, {0: "Water/PREF@4c"}, span_sink=tracer.record_dict).tick()
+        names = {s.name for s in tracer.spans(trace_id)}
+        assert names == {"worker.run", "prefetch.insert", "engine.simulate"}
+
     def test_no_trace_ctx_ships_no_spans(self):
         beat_queue: queue_module.SimpleQueue = queue_module.SimpleQueue()
-        run_telemetered_job(
-            "Water", False, 2, 42, 0.02, PREF, MachineConfig(num_cpus=2),
-            None, 0, "Water/PREF@4c",
-            queue=beat_queue,
-        )
+        run_job(TraceMemo(), _JOB, WorkerProbe(beat_queue, 0, 1.0, False, None))
         tracer = SpanTracer()
         monitor = FleetMonitor(
             beat_queue, {0: "Water/PREF@4c"}, span_sink=tracer.record_dict
