@@ -26,6 +26,12 @@ Check catalogue (names appear in :class:`~repro.audit.report.AuditReport`):
                                           stalled on exactly that block
 ``structural.prefetch_occupancy``         MSHR prefetch-buffer occupancy ==
                                           live prefetch fills
+``structural.sharer_map``                 the engine's sharer and in-flight
+                                          maps equal a recomputation from the
+                                          cache tags, victim entries and MSHRs
+                                          (the granted or filled block after
+                                          each grant and fill; every block at
+                                          the end of the run)
 ``structural.event_order``                heap pops are strictly increasing in
                                           (time, seq) -- validates both clock
                                           monotonicity and the fast path's
@@ -48,7 +54,7 @@ Check catalogue (names appear in :class:`~repro.audit.report.AuditReport`):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.audit.report import MAX_VIOLATIONS, AuditReport, AuditViolation
 from repro.bus.transaction import BusTransaction, TransactionKind
@@ -128,6 +134,7 @@ class EngineAuditor:
         self._grants += 1
         self._bus_busy += txn.occupancy
         self.check_block(txn.block)
+        self.check_sharer_maps(txn.block)
         self._check_bus_structure()
         for proc in self.engine.procs:
             self._check_prefetch_occupancy(proc)
@@ -135,6 +142,7 @@ class EngineAuditor:
     def after_fill_done(self, proc: Processor, block: int) -> None:
         """Invariant pass after a fill installs (or installs poisoned)."""
         self.check_block(block)
+        self.check_sharer_maps(block)
         self._check_prefetch_occupancy(proc)
 
     def on_access_complete(self, proc: Processor) -> None:
@@ -213,6 +221,46 @@ class EngineAuditor:
                 )
 
     # ------------------------------------------------------ structural sweep
+
+    def check_sharer_maps(self, block: int | None = None) -> None:
+        """The engine's sharer and in-flight maps equal a recomputation
+        from every cache's tags and victim entries and every MSHR.
+
+        Checks the entries for ``block``, or both whole maps when
+        ``block`` is None.  A missing bit would let a snoop skip a real
+        holder; a stale bit only costs a wasted visit, but is still
+        reported.
+        """
+        self._tick("structural.sharer_map")
+        engine = self.engine
+        sharers: dict[int, int] = {}
+        inflight: dict[int, int] = {}
+        for proc in engine.procs:
+            bit = 1 << proc.cpu
+            if block is None:
+                tracked: Iterable[int] = proc.cache.tracked_blocks()
+                fills: Iterable[int] = [f.block for f in proc.mshr.outstanding_fills()]
+            else:
+                tracked = (block,) if proc.cache.tracks(block) else ()
+                fills = (block,) if proc.mshr.lookup(block) is not None else ()
+            for b in tracked:
+                sharers[b] = sharers.get(b, 0) | bit
+            for b in fills:
+                inflight[b] = inflight.get(b, 0) | bit
+        for name, actual, expected in (
+            ("sharer", engine.sharers, sharers),
+            ("in-flight", engine.inflight, inflight),
+        ):
+            blocks = set(actual) | set(expected) if block is None else (block,)
+            for b in sorted(blocks):
+                have, want = actual.get(b, 0), expected.get(b, 0)
+                if have != want:
+                    self._violate(
+                        "structural.sharer_map",
+                        f"{name} map holds CPU mask {have:#x}, "
+                        f"recomputation gives {want:#x}",
+                        block=b,
+                    )
 
     def _check_bus_structure(self) -> None:
         """Queued bus transactions reconcile with MSHRs and CPU stalls."""
@@ -362,6 +410,7 @@ class EngineAuditor:
                 block=txn.block,
             )
 
+        self.check_sharer_maps()
         # Full sweep: every block resident anywhere at quiescence.
         blocks: set[int] = set()
         for proc in engine.procs:

@@ -11,7 +11,15 @@ among transactions with ``eligible_time <= g``:
    blocking loads over prefetches");
 2. within a tier, round-robin over CPUs starting after the last granted
    CPU;
-3. per CPU, FIFO by issue order.
+3. per CPU, the earliest-issued *eligible* transaction.
+
+The queues are indexed by that order: one FIFO per (tier, CPU), so a
+grant visits at most ``tiers x CPUs`` queue heads instead of ranking
+every pending transaction.  Rule 3 reads "eligible", not "head": with
+``demand_priority`` off, one tier mixes fills (eligible 92 cycles after
+issue by default) and writebacks (eligible after 1), so a writeback
+issued behind a fill can be eligible first.  The earliest eligible time comes from a
+lazily pruned heap, not a rescan of the queues.
 
 Grant decisions are made by the *engine* popping arbitration events in
 global time order, which guarantees every request issued before ``g`` is
@@ -20,9 +28,11 @@ already queued -- see :mod:`repro.sim.engine`.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
-from repro.bus.transaction import BusTransaction, TransactionKind
+from repro.bus.transaction import NUM_TIERS, BusTransaction, TransactionKind
 from repro.common.config import BusConfig
 from repro.common.errors import SimulationError
 
@@ -95,7 +105,21 @@ class Bus:
         self.num_cpus = num_cpus
         self.free_at = 0
         self.stats = BusStats()
-        self._pending: list[BusTransaction] = []
+        self._prioritized = config.demand_priority
+        #: _queues[tier][cpu]: that CPU's queued transactions of that
+        #: tier, in issue order (one tier when demand priority is off).
+        self._queues: list[list[deque[BusTransaction]]] = [
+            [deque() for _ in range(num_cpus)]
+            for _ in range(NUM_TIERS if config.demand_priority else 1)
+        ]
+        #: (eligible_time, seq, txn) of every queued transaction, plus
+        #: granted ones not yet pruned (``grant_time >= 0``).
+        self._eligible_heap: list[tuple[int, int, BusTransaction]] = []
+        self._num_pending = 0
+        #: _rr_order[c]: CPUs in round-robin order after c was granted.
+        self._rr_order = [
+            tuple((c + 1 + i) % num_cpus for i in range(num_cpus)) for c in range(num_cpus)
+        ]
         self._last_granted_cpu = num_cpus - 1
         self._seq = 0
         #: Optional observability tap (:class:`repro.obs.taps.EngineObserver`);
@@ -107,11 +131,13 @@ class Bus:
 
     def request(self, txn: BusTransaction) -> None:
         """Queue a transaction (eligible_time must already be set)."""
-        txn.seq = self._seq
-        self._seq += 1
-        self._pending.append(txn)
+        txn.seq = seq = self._seq
+        self._seq = seq + 1
+        self._queues[txn.tier if self._prioritized else 0][txn.cpu].append(txn)
+        heappush(self._eligible_heap, (txn.eligible_time, seq, txn))
+        self._num_pending += 1
         if self.observer is not None:
-            self.observer.on_bus_request(txn, len(self._pending))
+            self.observer.on_bus_request(txn, self._num_pending)
 
     def make_fill(
         self, cpu: int, block: int, exclusive: bool, is_demand: bool, now: int, word_mask: int = 0
@@ -160,7 +186,7 @@ class Bus:
     @property
     def has_pending(self) -> bool:
         """True when transactions are queued."""
-        return bool(self._pending)
+        return self._num_pending > 0
 
     def pending_snapshot(self) -> tuple[BusTransaction, ...]:
         """The queued (not yet granted) transactions, in issue order.
@@ -168,13 +194,18 @@ class Bus:
         Read-only view for diagnostics and the audit layer; mutating the
         returned transactions is not supported.
         """
-        return tuple(self._pending)
+        pending = [txn for tier in self._queues for queue in tier for txn in queue]
+        pending.sort(key=lambda txn: txn.seq)
+        return tuple(pending)
 
     def next_arbitration_time(self, now: int) -> int | None:
         """Earliest time a grant decision could be made, or None if idle."""
-        if not self._pending:
+        if not self._num_pending:
             return None
-        earliest_eligible = min(t.eligible_time for t in self._pending)
+        heap = self._eligible_heap
+        while heap[0][2].grant_time >= 0:
+            heappop(heap)  # granted since it was pushed
+        earliest_eligible = heap[0][0]
         if self.config.contention_free:
             return max(now, earliest_eligible)
         return max(now, self.free_at, earliest_eligible)
@@ -186,15 +217,19 @@ class Bus:
         ``completion_time`` filled in, or ``None`` when the bus is busy
         or nothing is eligible yet.
         """
-        if not self._pending:
+        if not self._num_pending:
             return None
         if not self.config.contention_free and now < self.free_at:
             return None
-        eligible = [t for t in self._pending if t.eligible_time <= now]
-        if not eligible:
+        chosen = self._choose(now)
+        if chosen is None:
             return None
-        chosen = self._choose(eligible)
-        self._pending.remove(chosen)
+        queue = self._queues[chosen.tier if self._prioritized else 0][chosen.cpu]
+        if queue[0] is chosen:
+            queue.popleft()
+        else:
+            queue.remove(chosen)
+        self._num_pending -= 1
         chosen.grant_time = now
         chosen.completion_time = now + chosen.occupancy
         if self.config.contention_free:
@@ -206,18 +241,19 @@ class Bus:
         self._last_granted_cpu = chosen.cpu
         self._account(chosen)
         if self.observer is not None:
-            self.observer.on_bus_grant(chosen, len(self._pending))
+            self.observer.on_bus_grant(chosen, self._num_pending)
         return chosen
 
-    def _choose(self, eligible: list[BusTransaction]) -> BusTransaction:
-        def rr_distance(cpu: int) -> int:
-            return (cpu - self._last_granted_cpu - 1) % self.num_cpus
-
-        if self.config.demand_priority:
-            key = lambda t: (t.tier, rr_distance(t.cpu), t.seq)
-        else:
-            key = lambda t: (rr_distance(t.cpu), t.seq)
-        return min(eligible, key=key)
+    def _choose(self, now: int) -> BusTransaction | None:
+        """The transaction arbitration grants at ``now`` (None if none is
+        eligible): first tier, then round-robin CPU, then issue order."""
+        order = self._rr_order[self._last_granted_cpu]
+        for tier in self._queues:
+            for cpu in order:
+                for txn in tier[cpu]:
+                    if txn.eligible_time <= now:
+                        return txn
+        return None
 
     def _account(self, txn: BusTransaction) -> None:
         self.stats.busy_cycles += txn.occupancy

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cache.frame import CacheFrame
+from repro.cache.sharers import track, untrack
 from repro.cache.victim import VictimCache
 from repro.coherence.protocol import BusOp, IllinoisProtocol, LineState
 from repro.common.config import CacheConfig
@@ -58,10 +59,19 @@ class CoherentCache:
     Args:
         config: geometry/policy.
         protocol: coherence decision tables (shared across caches).
-        cpu: owning CPU id (diagnostics only).
+        cpu: owning CPU id (its bit in ``sharers``).
+        sharers: the engine's ``block -> cpu bitmask`` sharer map
+            (:mod:`repro.cache.sharers`), kept current by installs,
+            evictions and victim-buffer moves; a private map when None.
     """
 
-    def __init__(self, config: CacheConfig, protocol: IllinoisProtocol, cpu: int = 0) -> None:
+    def __init__(
+        self,
+        config: CacheConfig,
+        protocol: IllinoisProtocol,
+        cpu: int = 0,
+        sharers: dict[int, int] | None = None,
+    ) -> None:
         self.config = config
         self.protocol = protocol
         self.cpu = cpu
@@ -76,7 +86,11 @@ class CoherentCache:
         ]
         # Fast tag -> frame map for snooping (avoids scanning sets).
         self._by_block: dict[int, CacheFrame] = {}
-        self.victim = VictimCache(config.victim_cache_lines, protocol)
+        self._sharers = {} if sharers is None else sharers
+        self._bit = 1 << cpu
+        self.victim = VictimCache(
+            config.victim_cache_lines, protocol, self._sharers, self._bit, self._by_block
+        )
 
     # ------------------------------------------------------------- addressing
 
@@ -188,20 +202,24 @@ class CoherentCache:
             target = min(ways, key=lambda f: f.last_use)
 
         writeback: EvictedLine | None = None
-        if target.block >= 0:
-            self._by_block.pop(target.block, None)
+        old = target.block
+        if old >= 0:
+            self._by_block.pop(old, None)
             if target.valid:
                 displaced = self.victim.insert(
-                    target.block, target.state, target.words_accessed, target.remote_written
+                    old, target.state, target.words_accessed, target.remote_written
                 )
                 if self.victim.capacity == 0:
                     if target.dirty:
-                        writeback = EvictedLine(target.block, dirty=True)
+                        writeback = EvictedLine(old, dirty=True)
                 elif displaced is not None:
                     writeback = EvictedLine(displaced[0], dirty=True)
+            if old not in self.victim:
+                untrack(self._sharers, old, self._bit)
 
         target.fill(block, state, by_prefetch, now)
         self._by_block[block] = target
+        track(self._sharers, block, self._bit)
         return writeback
 
     def record_access(self, block: int, word_mask: int, now: int) -> None:
@@ -280,3 +298,12 @@ class CoherentCache:
         (:mod:`repro.audit`); read-only like :meth:`state_of`.
         """
         return sorted(b for b, f in self._by_block.items() if f.valid)
+
+    def tracks(self, block: int) -> bool:
+        """True if the sharer map should name this CPU for ``block``: the
+        main array tags it (valid or invalid) or the victim buffer parks it."""
+        return block in self._by_block or block in self.victim
+
+    def tracked_blocks(self) -> set[int]:
+        """Every block :meth:`tracks` is true for (audit recomputation)."""
+        return {*self._by_block, *self.victim}

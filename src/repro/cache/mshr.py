@@ -16,6 +16,7 @@ which blocks have fills in flight so that
 
 from __future__ import annotations
 
+from repro.cache.sharers import track, untrack
 from repro.common.errors import SimulationError
 from repro.coherence.protocol import LineState
 
@@ -90,11 +91,18 @@ class MissStatusRegisters:
     Args:
         prefetch_buffer_depth: maximum prefetches in flight before the
             CPU stalls on issuing another (the paper's 16-deep buffer).
+        inflight: the engine's ``block -> cpu bitmask`` in-flight map
+            (:mod:`repro.cache.sharers`); a private map when None.
+        cpu: owning CPU id (its bit in ``inflight``).
     """
 
-    def __init__(self, prefetch_buffer_depth: int) -> None:
+    def __init__(
+        self, prefetch_buffer_depth: int, inflight: dict[int, int] | None = None, cpu: int = 0
+    ) -> None:
         self.prefetch_buffer_depth = prefetch_buffer_depth
         self._fills: dict[int, OutstandingFill] = {}
+        self._inflight = {} if inflight is None else inflight
+        self._bit = 1 << cpu
         self._prefetches_in_flight = 0
         self.max_prefetches_in_flight = 0
 
@@ -132,6 +140,7 @@ class MissStatusRegisters:
             raise SimulationError(f"duplicate outstanding fill for block {block:#x}")
         fill = OutstandingFill(block, is_prefetch, exclusive, intended_word_mask, now)
         self._fills[block] = fill
+        track(self._inflight, block, self._bit)
         if is_prefetch:
             self._prefetches_in_flight += 1
             if self._prefetches_in_flight > self.max_prefetches_in_flight:
@@ -143,6 +152,7 @@ class MissStatusRegisters:
         fill = self._fills.pop(block, None)
         if fill is None:
             raise SimulationError(f"finish() for unknown fill {block:#x}")
+        untrack(self._inflight, block, self._bit)
         if fill.is_prefetch:
             self._prefetches_in_flight -= 1
             if self._prefetches_in_flight < 0:

@@ -15,7 +15,9 @@ bookkeeping are preserved.
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Iterator
 
+from repro.cache.sharers import track, untrack
 from repro.coherence.protocol import BusOp, IllinoisProtocol, LineState
 
 __all__ = ["VictimCache"]
@@ -35,17 +37,45 @@ class VictimCache:
 
     A ``capacity`` of zero produces a permanently-empty victim cache, so
     callers need no special-casing for the disabled configuration.
+
+    ``sharers``/``bit`` are the engine's sharer map and the owning CPU's
+    bit (:mod:`repro.cache.sharers`); ``main`` is the owner's main-array
+    tag map, consulted so that dropping an entry keeps the bit while the
+    main array still holds the block.
     """
 
-    def __init__(self, capacity: int, protocol: IllinoisProtocol) -> None:
+    def __init__(
+        self,
+        capacity: int,
+        protocol: IllinoisProtocol,
+        sharers: dict[int, int] | None = None,
+        bit: int = 1,
+        main: dict | None = None,
+    ) -> None:
         self.capacity = capacity
         self._protocol = protocol
         self._entries: OrderedDict[int, _VictimEntry] = OrderedDict()
+        self._sharers = {} if sharers is None else sharers
+        self._bit = bit
+        self._main = {} if main is None else main
         self.hits = 0
         self.insertions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def __contains__(self, block: int) -> bool:
+        """True if an entry (valid or invalidated) is parked for ``block``."""
+        return block in self._entries
+
+    def __iter__(self) -> Iterator[int]:
+        """The parked blocks, valid or invalidated, least recent first."""
+        return iter(self._entries)
+
+    def _drop(self, block: int) -> None:
+        del self._entries[block]
+        if block not in self._main:
+            untrack(self._sharers, block, self._bit)
 
     def insert(
         self, block: int, state: LineState, words_accessed: int, remote_written: int
@@ -63,10 +93,12 @@ class VictimCache:
         if block in self._entries:
             self._entries.pop(block)
         elif len(self._entries) >= self.capacity:
-            old_block, old_entry = self._entries.popitem(last=False)
+            old_block, old_entry = next(iter(self._entries.items()))
+            self._drop(old_block)
             if old_entry.state is LineState.MODIFIED:
                 displaced = (old_block, old_entry.state)
         self._entries[block] = _VictimEntry(state, words_accessed, remote_written)
+        track(self._sharers, block, self._bit)
         self.insertions += 1
         return displaced
 
@@ -84,7 +116,7 @@ class VictimCache:
         entry = self._entries.get(block)
         if entry is None or entry.state is LineState.INVALID:
             return None
-        self._entries.pop(block)
+        self._drop(block)
         self.hits += 1
         return entry.state, entry.words_accessed, entry.remote_written
 
@@ -95,7 +127,7 @@ class VictimCache:
         entry = self._entries.get(block)
         if entry is None or entry.state is not LineState.INVALID:
             return None
-        self._entries.pop(block)
+        self._drop(block)
         return entry.words_accessed, entry.remote_written
 
     def snoop(self, block: int, op: BusOp, writer_word_mask: int) -> bool:

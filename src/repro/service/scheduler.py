@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
@@ -32,6 +33,7 @@ from repro.common.config import SimulationConfig
 from repro.common.errors import ReproError
 from repro.experiments.runner import ExperimentRunner
 from repro.metrics.results import RunMetrics
+from repro.perf.diskcache import ResultDiskCache
 from repro.service.contracts import RunMetadata, RunStatus, RunStore, ScenarioSpec, utc_now
 from repro.service.store import InMemoryRunStore
 from repro.telemetry.fleet import FleetError, TelemetryConfig
@@ -48,6 +50,11 @@ __all__ = ["RunScheduler"]
 
 #: Frame key: the ExperimentRunner constructor arguments a spec pins.
 _Frame = tuple[int, int, float]
+
+#: Runners kept for reuse, least recently used evicted first.  Each one
+#: memoises a few clean traces, so an unbounded map would grow with
+#: every distinct frame a long-lived service sees.
+_MAX_RUNNERS = 4
 
 
 class RunScheduler:
@@ -91,7 +98,9 @@ class RunScheduler:
         self.max_batch = max(1, max_batch)
         self.sim_config = sim_config if sim_config is not None else SimulationConfig()
         self.tracer = tracer if tracer is not None else SpanTracer(enabled=False)
-        self._runners: dict[_Frame, ExperimentRunner] = {}
+        #: The one result disk cache every runner and every lookup uses.
+        self._disk_cache = ResultDiskCache(cache_dir) if cache_dir else None
+        self._runners: OrderedDict[_Frame, ExperimentRunner] = OrderedDict()
         self._results: dict[str, RunMetrics] = {}
         self._c2c: dict[str, dict[str, Any]] = {}
         self._engine_traces: dict[str, dict[str, Any]] = {}
@@ -442,17 +451,21 @@ class RunScheduler:
 
     def _runner(self, frame: _Frame) -> ExperimentRunner:
         runner = self._runners.get(frame)
-        if runner is None:
-            num_cpus, seed, scale = frame
-            runner = ExperimentRunner(
-                num_cpus=num_cpus,
-                seed=seed,
-                scale=scale,
-                max_workers=self.max_workers,
-                disk_cache=self.cache_dir,
-                sim_config=self.sim_config,
-            )
-            self._runners[frame] = runner
+        if runner is not None:
+            self._runners.move_to_end(frame)
+            return runner
+        num_cpus, seed, scale = frame
+        runner = ExperimentRunner(
+            num_cpus=num_cpus,
+            seed=seed,
+            scale=scale,
+            max_workers=self.max_workers,
+            disk_cache=self._disk_cache,
+            sim_config=self.sim_config,
+        )
+        self._runners[frame] = runner
+        if len(self._runners) > _MAX_RUNNERS:
+            self._runners.popitem(last=False)
         return runner
 
     # --------------------------------------------------------------- queries
@@ -460,14 +473,9 @@ class RunScheduler:
     def _result_available(self, meta: RunMetadata) -> bool:
         if meta.run_id in self._results:
             return True
-        if self.cache_dir is None:
+        if self._disk_cache is None:
             return False
-        runner = self._runner(
-            (meta.spec.num_cpus, meta.spec.seed, meta.spec.scale)
-        )
-        if runner.disk_cache is None:
-            return False
-        return runner.disk_cache.load(meta.config_key) is not None
+        return self._disk_cache.load(meta.config_key) is not None
 
     def result(self, run_id: str) -> RunMetrics | None:
         """The completed run's metrics, from memory or the disk cache."""
@@ -475,12 +483,9 @@ class RunScheduler:
         if cached is not None:
             return cached
         meta = self.store.get(run_id)
-        if meta is None or meta.status is not RunStatus.COMPLETED or self.cache_dir is None:
+        if meta is None or meta.status is not RunStatus.COMPLETED or self._disk_cache is None:
             return None
-        runner = self._runner((meta.spec.num_cpus, meta.spec.seed, meta.spec.scale))
-        if runner.disk_cache is None:
-            return None
-        data = runner.disk_cache.load(meta.config_key)
+        data = self._disk_cache.load(meta.config_key)
         if data is None:
             return None
         result = RunMetrics.from_dict(data)
@@ -615,27 +620,9 @@ class RunScheduler:
         return chrome_trace(result.obs, label=spec.label)
 
     def cache_stats(self) -> dict[str, int] | None:
-        """Combined disk-cache statistics across runner frames.
-
-        Session counters (hits/misses/stores/evictions) sum over every
-        frame's cache instance; the on-disk footprint (entries/bytes) is
-        read once -- all instances share one directory.
-        """
-        caches = [r.disk_cache for r in self._runners.values() if r.disk_cache is not None]
-        if self.cache_dir is not None and not caches:
-            from repro.perf.diskcache import ResultDiskCache
-
-            caches = [ResultDiskCache(self.cache_dir)]
-        if not caches:
-            return None
-        stats = {"hits": 0, "misses": 0, "stores": 0, "evictions": 0}
-        for cache in caches:
-            snapshot = cache.stats()
-            for key in stats:
-                stats[key] += snapshot[key]
-        stats["entries"] = len(caches[0])
-        stats["bytes"] = caches[0].total_bytes()
-        return stats
+        """Disk-cache statistics: this scheduler's session counters
+        (hits/misses/stores/evictions) and the on-disk footprint."""
+        return self._disk_cache.stats() if self._disk_cache is not None else None
 
     def queue_depth(self) -> int:
         """Runs queued but not yet executing."""

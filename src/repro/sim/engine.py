@@ -7,8 +7,10 @@ single heap:
   re-attempts the access it was stalled on;
 * **bus arbitration** -- the bus grants one eligible transaction
   (round-robin, demand priority), at which point snoops are applied to
-  every other cache (and to granted in-flight fills, which get poisoned
-  by remote invalidations);
+  every other cache holding the block (and to granted in-flight fills,
+  which get poisoned by remote invalidations); the sharer and in-flight
+  maps (:mod:`repro.cache.sharers`) name those caches, so CPUs that
+  cannot hold the block are never visited;
 * **fill completions** -- data arrives, the block is installed, dirty
   victims are queued for write-back, and stalled CPUs resume.
 
@@ -109,11 +111,19 @@ class SimulationEngine:
         self.locks = LockManager()
         self.barriers = BarrierManager(machine.num_cpus)
 
+        #: block -> bitmask of CPUs whose main array tags the block or
+        #: whose victim buffer parks it; block -> bitmask of CPUs with a
+        #: fill for it in flight.  The caches and MSHRs keep both current.
+        self.sharers: dict[int, int] = {}
+        self.inflight: dict[int, int] = {}
         self.procs: list[Processor] = []
         for cpu_trace in trace:
-            cache = CoherentCache(machine.cache, self.protocol, cpu_trace.cpu)
-            mshr = MissStatusRegisters(machine.prefetch.buffer_depth)
-            self.procs.append(Processor(cpu_trace.cpu, cpu_trace.events, cache, mshr))
+            cpu = cpu_trace.cpu
+            cache = CoherentCache(machine.cache, self.protocol, cpu, self.sharers)
+            mshr = MissStatusRegisters(machine.prefetch.buffer_depth, self.inflight, cpu)
+            self.procs.append(Processor(cpu, cpu_trace.events, cache, mshr))
+        #: Snoop-target tuples by CPU bitmask (see _snoop_targets).
+        self._targets: dict[int, tuple[Processor, ...]] = {}
 
         self._heap: list[tuple[int, int, int, int, int]] = []
         self._seq = 0
@@ -137,11 +147,6 @@ class SimulationEngine:
             state.is_valid and self.protocol.write_hit_needs_upgrade(state)
             for state in LineState
         )
-        #: Every cache but cpu i's, for the remote-write classifier loop.
-        self._remote_caches = [
-            tuple(p.cache for p in self.procs if p.cpu != i)
-            for i in range(machine.num_cpus)
-        ]
         #: Flag-gated sanitizer (None when disabled; all hook sites are
         #: ``if audit is not None`` branches, so the disabled engine
         #: stays on its original code paths and results are identical).
@@ -223,10 +228,10 @@ class SimulationEngine:
                 proc.metrics,
                 proc.mshr._fills,
                 proc.cache._by_block,
-                self._remote_caches[proc.cpu],
             )
             for proc in procs
         ]
+        snoop_targets = self._snoop_targets
         audit = self._audit
         obs = self._obs
         pending: tuple[int, int, int, int, int] | None = None
@@ -252,7 +257,7 @@ class SimulationEngine:
                 else:  # _EV_FILLDONE
                     self._fill_done(procs[a], b, time)
                 continue
-            proc, events, num_events, metrics, mshr_fills, by_block, remote_caches = ctx[a]
+            proc, events, num_events, metrics, mshr_fills, by_block = ctx[a]
             proc.scheduled = False
             now = time
             if obs is not None:
@@ -323,8 +328,9 @@ class SimulationEngine:
                 # _complete_access("retire") for the hit case.
                 if is_write:
                     frame.state = modified
-                    for cache in remote_caches:
+                    for remote in snoop_targets(block, a):
                         # Inlined CoherentCache.note_remote_write.
+                        cache = remote.cache
                         rframe = cache._by_block.get(block)
                         if rframe is not None:
                             if rframe.state is invalid:
@@ -767,9 +773,7 @@ class SimulationEngine:
         op = BusOp.READ_EX if exclusive else BusOp.READ
         obs = self._obs
         others_have = False
-        for proc in self.procs:
-            if proc.cpu == txn.cpu:
-                continue
+        for proc in self._snoop_targets(txn.block, txn.cpu):
             had, _supplied = proc.cache.snoop(txn.block, op, txn.word_mask)
             if had:
                 others_have = True
@@ -812,9 +816,7 @@ class SimulationEngine:
     def _grant_upgrade(self, txn: BusTransaction, now: int) -> None:
         proc = self.procs[txn.cpu]
         obs = self._obs
-        for other in self.procs:
-            if other.cpu == txn.cpu:
-                continue
+        for other in self._snoop_targets(txn.block, txn.cpu):
             had, _supplied = other.cache.snoop(txn.block, BusOp.UPGRADE, txn.word_mask)
             if had and obs is not None:
                 obs.on_snoop(other.cpu, txn.cpu, txn.block, now, "invalidate")
@@ -846,8 +848,23 @@ class SimulationEngine:
         """Report a completed demand write to every other cache's
         false-sharing bookkeeping (trace-driven: even silent write hits
         are visible to the classifier, as in Charlie)."""
-        for cache in self._remote_caches[writer.cpu]:
-            cache.note_remote_write(block, mask)
+        for other in self._snoop_targets(block, writer.cpu):
+            other.cache.note_remote_write(block, mask)
+
+    def _snoop_targets(self, block: int, requester: int) -> tuple[Processor, ...]:
+        """The CPUs other than ``requester`` that a bus operation or a
+        remote-write note on ``block`` can affect, in ascending CPU order.
+
+        Those are the CPUs whose cache tags or parks the block or which
+        have a fill for it in flight; every other CPU would ignore the
+        operation, so skipping it changes nothing.
+        """
+        mask = (self.sharers.get(block, 0) | self.inflight.get(block, 0)) & ~(1 << requester)
+        targets = self._targets.get(mask)
+        if targets is None:
+            targets = tuple(p for p in self.procs if mask >> p.cpu & 1)
+            self._targets[mask] = targets
+        return targets
 
     def _fill_done(self, proc: Processor, block: int, time: int) -> None:
         fill = proc.mshr.finish(block)

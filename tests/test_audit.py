@@ -118,6 +118,29 @@ class TestDetection:
         report = engine._audit.finalize()
         assert any(v.check == "conservation.bus_cycles" for v in report.violations)
 
+    def test_detects_corrupted_sharer_maps(self):
+        engine = _ran_engine()
+        auditor = EngineAuditor(engine)
+        block = 0x2000  # tagged by both CPUs
+        assert engine.sharers[block] == 0b11
+        engine.sharers[block] = 0b10  # a snoop would now skip CPU 0
+        engine.inflight[0x9000] = 0b01  # no such fill is outstanding
+        auditor.check_sharer_maps(block)
+        assert [(v.check, v.block) for v in auditor.violations] == [
+            ("structural.sharer_map", block)
+        ]
+        auditor.check_sharer_maps()  # the whole-map sweep finds both
+        flagged = {v.block for v in auditor.violations if v.check == "structural.sharer_map"}
+        assert flagged == {block, 0x9000}
+
+    def test_end_of_run_sweep_catches_a_stale_sharer_bit(self):
+        engine = _ran_engine(audit=True)
+        engine.sharers[0x7000] = 0b01  # CPU 0 never touched this block
+        report = engine._audit.finalize()
+        assert [v.block for v in report.violations if v.check == "structural.sharer_map"] == [
+            0x7000
+        ]
+
     def test_violations_cap_and_count_truncation(self):
         auditor = EngineAuditor(_ran_engine())
         for i in range(MAX_VIOLATIONS + 10):

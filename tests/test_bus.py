@@ -153,3 +153,54 @@ class TestAccounting:
         bus.request(t)
         assert bus.next_arbitration_time(0) == t.eligible_time
         assert bus.next_arbitration_time(t.eligible_time + 5) == t.eligible_time + 5
+
+
+class TestIndexedQueues:
+    def test_pending_snapshot_is_issue_order_across_tiers_and_cpus(self):
+        bus = make_bus()
+        issued = [
+            bus.make_fill(2, 0x1000, False, is_demand=False, now=0),
+            bus.make_writeback(0, 0x2000, now=0),
+            bus.make_fill(1, 0x3000, False, is_demand=True, now=1),
+            bus.make_fill(2, 0x4000, False, is_demand=False, now=2),
+            bus.make_upgrade(3, 0x5000, now=3, word_mask=1),
+            bus.make_writeback(2, 0x6000, now=4),
+        ]
+        for txn in issued:
+            bus.request(txn)
+        assert bus.pending_snapshot() == tuple(issued)
+        granted = bus.arbitrate(max(t.eligible_time for t in issued))
+        assert bus.pending_snapshot() == tuple(t for t in issued if t is not granted)
+
+    def test_next_arbitration_time_skips_granted_heap_entries(self):
+        bus = make_bus(transfer_cycles=8)
+        early = bus.make_fill(0, 0x1000, False, True, now=0)
+        late = bus.make_fill(1, 0x2000, False, True, now=50)
+        bus.request(early)
+        bus.request(late)
+        assert bus.arbitrate(early.eligible_time) is early
+        # ``early`` is granted but still the heap's minimum entry.
+        assert bus.next_arbitration_time(0) == late.eligible_time
+        assert bus.arbitrate(late.eligible_time) is late
+        assert bus.next_arbitration_time(late.eligible_time) is None
+        again = bus.make_fill(2, 0x3000, False, True, now=200)
+        bus.request(again)
+        assert bus.next_arbitration_time(0) == again.eligible_time
+
+    def test_earlier_eligible_writeback_passes_fill_without_priority(self):
+        bus = Bus(BusConfig(demand_priority=False), num_cpus=4)
+        fill = bus.make_fill(0, 0x1000, False, is_demand=True, now=0)
+        wb = bus.make_writeback(0, 0x2000, now=1)
+        bus.request(fill)
+        bus.request(wb)
+        assert wb.eligible_time < fill.eligible_time
+        assert bus.next_arbitration_time(0) == wb.eligible_time
+        assert bus.arbitrate(wb.eligible_time) is wb
+        assert bus.arbitrate(fill.eligible_time) is fill
+
+    def test_tier_is_fixed_at_construction(self):
+        bus = make_bus()
+        assert bus.make_fill(0, 0x1000, False, is_demand=True, now=0).tier == 0
+        assert bus.make_upgrade(0, 0x1000, now=0, word_mask=1).tier == 0
+        assert bus.make_writeback(0, 0x1000, now=0).tier == 1
+        assert bus.make_fill(0, 0x1000, True, is_demand=False, now=0).tier == 2

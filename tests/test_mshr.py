@@ -86,3 +86,15 @@ class TestPoisoning:
     def test_snoop_absent_block(self):
         mshr = MissStatusRegisters(16)
         assert not mshr.snoop_invalidate(0x9999, 0b1)
+
+
+class TestInFlightMap:
+    def test_bit_set_from_start_to_finish(self):
+        inflight = {0x1000: 0b1}  # CPU 0 is fetching the block too
+        mshr = MissStatusRegisters(4, inflight, cpu=3)
+        mshr.start(0x1000, is_prefetch=True, exclusive=False)
+        mshr.start(0x2000, is_prefetch=False, exclusive=True)
+        assert inflight == {0x1000: 0b1001, 0x2000: 0b1000}
+        mshr.finish(0x1000)
+        mshr.finish(0x2000)
+        assert inflight == {0x1000: 0b1}

@@ -31,7 +31,7 @@ from repro.service.contracts import (
     RunStore,
     ScenarioSpec,
 )
-from repro.service.scheduler import RunScheduler
+from repro.service.scheduler import _MAX_RUNNERS, RunScheduler
 from repro.service.store import InMemoryRunStore, LedgerRunStore, spec_from_ledger_entry
 from repro.telemetry.fleet import FleetError, TelemetryConfig, export_cache_stats
 from repro.telemetry.ledger import LedgerEntry, RunLedger
@@ -410,6 +410,9 @@ class TestScheduler:
                 assert meta.source == "ledger"
                 result = scheduler.result(meta.run_id)
                 assert result is not None and result.to_dict() == first
+                # The lookup read the scheduler's own disk cache; it
+                # built no simulation runner.
+                assert not scheduler._runners
                 # ... and a resubmission dedups instead of re-simulating.
                 again, deduped = await scheduler.submit(spec)
                 assert deduped and again.run_id == meta.run_id
@@ -417,6 +420,24 @@ class TestScheduler:
                 await scheduler.close()
 
         _run(second_life())
+
+
+    def test_runner_cache_is_bounded_and_shares_one_disk_cache(self, tmp_path):
+        scheduler = RunScheduler(cache_dir=str(tmp_path / "cache"))
+        try:
+            frames = [(2, seed, 0.02) for seed in range(3 * _MAX_RUNNERS)]
+            for frame in frames:
+                runner = scheduler._runner(frame)
+                assert runner.disk_cache is scheduler._disk_cache
+                assert len(scheduler._runners) <= _MAX_RUNNERS
+            assert list(scheduler._runners) == frames[-_MAX_RUNNERS:]
+            # A reused frame becomes the most recent; the oldest goes next.
+            kept = scheduler._runner(frames[-_MAX_RUNNERS])
+            scheduler._runner((4, 0, 0.02))
+            assert scheduler._runners[frames[-_MAX_RUNNERS]] is kept
+            assert frames[-_MAX_RUNNERS + 1] not in scheduler._runners
+        finally:
+            _run(scheduler.close())
 
 
 # --------------------------------------------------------------------------
