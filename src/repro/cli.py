@@ -8,8 +8,11 @@ Commands:
 * ``experiment`` -- regenerate a paper table or figure by name;
 * ``stats`` -- static trace statistics for a workload;
 * ``analyze`` -- sharing attribution and restructuring advice;
+* ``trace`` -- request-trace waterfall of a service run, or write and
+  inspect workload trace files;
 * ``bench`` -- engine throughput micro-benchmark with a regression
-  check against the committed ``BENCH_engine.json``;
+  check against the committed ``BENCH_engine.json``; ``--history``
+  prints the report's trend table and sparkline;
 * ``timeline`` -- run one configuration with the observability taps on,
   print the windowed telemetry as sparklines and export the event
   timeline as Chrome trace JSON (Perfetto-loadable);
@@ -18,6 +21,7 @@ Commands:
   heat by data structure with the static advisor cross-referenced,
   invalidation ping-pong, prefetch efficacy; optional JSON export;
 * ``cache`` -- inspect or prune the on-disk result cache;
+* ``audit`` -- audited sweep of the invariant verification grid;
 * ``fleet`` -- run a strategy/latency grid with full fleet telemetry:
   live worker progress + ETA, run-ledger records, stall watchdog,
   optional per-worker profiling, Prometheus/JSON metrics export;
@@ -28,15 +32,7 @@ Commands:
 * ``serve`` -- simulation-as-a-service HTTP front door: submit
   scenario specs or sweep grids, poll run status, fetch results and
   c2c reports by run id, scrape Prometheus metrics -- duplicate
-  submissions dedup by content key onto one simulation; with the
-  time-series store on (default), it also snapshots metrics, evaluates
-  SLO rules continuously, and serves ``/metrics/history``, ``/slo``
-  and an HTML ``/dashboard``;
-* ``slo`` -- one-shot SLO evaluation over the time-series store
-  (``repro slo check``), nonzero exit on breach: the CI regression
-  sentinel;
-* ``dash`` -- terminal dashboard: key series sparklines, SLO status
-  and recent ledger runs from the same store the service snapshots;
+  submissions dedup by content key onto one simulation;
 * ``list`` -- available workloads, strategies and experiments.
 
 Examples::
@@ -52,8 +48,9 @@ Examples::
     python -m repro ledger --tail 5
     python -m repro cache --prune
     python -m repro bench --history
-    python -m repro slo check --snapshot
-    python -m repro dash --seconds 7200
+    python -m repro audit --quick
+    python -m repro serve --port 8787 --trace
+    python -m repro trace <run_id> --save trace.json
 """
 
 from __future__ import annotations
@@ -685,8 +682,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _bench_history(args: argparse.Namespace) -> int:
     """``repro bench --history``: the trajectory the report has been
-    silently accumulating, as a trend table + sparkline; optionally
-    replayed into the time-series store for the dashboard."""
+    silently accumulating, as a trend table + sparkline."""
     from repro.metrics.charts import sparkline
     from repro.perf.bench import load_report
 
@@ -724,15 +720,6 @@ def _bench_history(args: argparse.Namespace) -> int:
     values = [float(entry["events_per_sec"]) for entry in history]
     print(f"trend: {sparkline(values, width=min(60, max(8, len(values))))} "
           f"({min(values):,.0f} .. {max(values):,.0f} events/sec)")
-    if args.tsdb:
-        from repro.telemetry.timeseries import TimeSeriesStore, seed_bench_history
-
-        store = TimeSeriesStore(args.tsdb)
-        seeded = seed_bench_history(store, report)
-        print(
-            f"{args.tsdb}: seeded {seeded} new snapshot(s) "
-            f"(repro_bench_events_per_sec series)"
-        )
     return 0
 
 
@@ -1099,14 +1086,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         trace=args.trace,
         drain_timeout=args.drain_timeout,
-        tsdb_dir=args.tsdb or None,
-        snapshot_interval=args.snapshot_interval,
-        slo_rules=args.slo_rules,
     )
     print(
         f"repro service on http://{config.host}:{config.port} "
         f"(cache: {config.cache_dir or 'off'}, ledger: {config.ledger_path or 'off'}, "
-        f"tsdb: {config.tsdb_dir or 'off'}, "
         f"{config.max_workers or 1} sim worker(s), "
         f"tracing {'on' if config.trace else 'off'}) -- Ctrl-C to stop"
     )
@@ -1114,99 +1097,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "  POST /runs  GET /runs  GET /runs/{id}  GET /runs/{id}/result  "
         "GET /runs/{id}/trace  GET /metrics"
     )
-    if config.tsdb_dir is not None:
-        print("  GET /metrics/history  GET /slo  GET /dashboard")
     serve(config)
-    return 0
-
-
-def _cmd_slo(args: argparse.Namespace) -> int:
-    import json as json_module
-    from pathlib import Path
-
-    from repro.perf.bench import load_report
-    from repro.telemetry.slo import default_rules, evaluate_slo, load_rules
-    from repro.telemetry.timeseries import TimeSeriesStore, seed_bench_history
-
-    store = TimeSeriesStore(args.tsdb)
-    bench = load_report(args.bench_file)
-    rules = load_rules(args.rules) if args.rules else default_rules(bench)
-    if args.snapshot:
-        # A fresh ledger-derived + bench snapshot lets the sentinel run
-        # against batch fleets (fleet/drift) that never started a
-        # service -- the ledger is the source of truth either way.
-        from repro.telemetry.ledger import RunLedger
-
-        seeded = seed_bench_history(store, bench)
-        store.append_snapshot(ledger=RunLedger(args.ledger_dir), source="slo-check")
-        print(
-            f"{args.tsdb}: appended 1 ledger snapshot"
-            + (f", seeded {seeded} bench snapshot(s)" if seeded else "")
-        )
-    report = evaluate_slo(store, rules)
-    print(report.render())
-    if args.json:
-        path = Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        doc = report.to_dict()
-        doc["rules"] = [rule.to_dict() for rule in rules]
-        path.write_text(
-            json_module.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        print(f"wrote {args.json}")
-    return 0 if report.ok else 1
-
-
-def _cmd_dash(args: argparse.Namespace) -> int:
-    from repro.metrics.charts import sparkline
-    from repro.perf.bench import load_report
-    from repro.service.dashboard import build_dashboard_doc
-    from repro.telemetry.ledger import RunLedger
-    from repro.telemetry.slo import default_rules, evaluate_slo, load_rules
-    from repro.telemetry.timeseries import TimeSeriesStore
-
-    store = TimeSeriesStore(args.tsdb)
-    if store.last_snapshot() is None:
-        print(
-            f"{args.tsdb}: no snapshots yet -- run `repro serve`, "
-            "`repro slo check --snapshot` or `repro bench --history` first"
-        )
-        return 0
-    rules = (
-        load_rules(args.rules) if args.rules else default_rules(load_report(args.bench_file))
-    )
-    report = evaluate_slo(store, rules)
-    doc = build_dashboard_doc(store, slo_report=report.to_dict(), seconds=args.seconds)
-    tsdb_info = doc["tsdb"]
-    print(
-        f"repro dash -- {tsdb_info['root']}: {tsdb_info['snapshots']} snapshots in "
-        f"{tsdb_info['segments']} segment(s), trailing {args.seconds:g}s window"
-    )
-    print()
-    for series in doc["series"]:
-        spark = sparkline(series["values"], width=args.width)
-        print(
-            f"{series['title']:<36} {spark}  "
-            f"{series['current']:>12,.1f} (min {series['min']:,.1f}, "
-            f"max {series['max']:,.1f})"
-        )
-    if not doc["series"]:
-        print("(no key series snapshotted yet)")
-    print()
-    print(report.render())
-    ledger = RunLedger(args.ledger_dir)
-    recent = ledger.tail(args.tail)
-    if recent:
-        print()
-        print(f"recent runs ({ledger.path}):")
-        for entry in recent:
-            line = (
-                f"  {entry.timestamp}  {entry.workload}/{entry.strategy}  "
-                f"[{entry.outcome}/{entry.cache}]"
-            )
-            if entry.trace_id:
-                line += f"  trace={entry.trace_id}"
-            print(line)
     return 0
 
 
@@ -1306,13 +1197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--history", action="store_true",
         help="print the report's history as a trend table + sparkline "
-        "(no measurement run) and seed the time-series store from it",
-    )
-    from repro.telemetry.timeseries import DEFAULT_TSDB_DIR
-
-    p.add_argument(
-        "--tsdb", default=DEFAULT_TSDB_DIR,
-        help=f"time-series store for --history seeding ('' disables; default {DEFAULT_TSDB_DIR})",
+        "(no measurement run)",
     )
     p.set_defaults(func=_cmd_bench)
 
@@ -1509,78 +1394,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--drain-timeout", type=float, default=30.0,
         help="seconds to wait for in-flight runs on shutdown (default 30)",
     )
-    p.add_argument(
-        "--tsdb", default=DEFAULT_TSDB_DIR,
-        help="time-series snapshot directory ('' disables snapshots, SLO "
-        f"evaluation and /dashboard; default {DEFAULT_TSDB_DIR})",
-    )
-    p.add_argument(
-        "--snapshot-interval", type=float, default=15.0,
-        help="seconds between registry snapshots / SLO evaluations (default 15)",
-    )
-    p.add_argument(
-        "--slo-rules",
-        help="SLO rules file (.toml [[slo]] tables or JSON; default: built-in rules)",
-    )
     p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser(
-        "slo", help="evaluate SLO rules over the time-series store (CI sentinel)"
-    )
-    p.add_argument(
-        "action", choices=("check",),
-        help="'check': one-shot evaluation; exits nonzero on any breach",
-    )
-    p.add_argument(
-        "--tsdb", default=DEFAULT_TSDB_DIR,
-        help=f"time-series store directory (default {DEFAULT_TSDB_DIR})",
-    )
-    p.add_argument(
-        "--rules",
-        help="SLO rules file (.toml [[slo]] tables or JSON; default: built-in rules)",
-    )
-    p.add_argument(
-        "--snapshot", action="store_true",
-        help="append a fresh ledger-derived + bench snapshot before evaluating "
-        "(lets the sentinel gate batch fleets with no service running)",
-    )
-    p.add_argument(
-        "--ledger-dir", default="results/service/ledger",
-        help="run-ledger directory for --snapshot (default results/service/ledger)",
-    )
-    p.add_argument(
-        "--bench-file", default=DEFAULT_REPORT,
-        help=f"bench report feeding default rules and --snapshot seeding (default {DEFAULT_REPORT})",
-    )
-    p.add_argument("--json", help="write the evaluation report JSON here")
-    p.set_defaults(func=_cmd_slo)
-
-    p = sub.add_parser(
-        "dash", help="terminal dashboard: key series sparklines + SLO + recent runs"
-    )
-    p.add_argument(
-        "--tsdb", default=DEFAULT_TSDB_DIR,
-        help=f"time-series store directory (default {DEFAULT_TSDB_DIR})",
-    )
-    p.add_argument(
-        "--seconds", type=float, default=3600.0,
-        help="trailing window to chart (default 3600)",
-    )
-    p.add_argument(
-        "--rules",
-        help="SLO rules file (.toml [[slo]] tables or JSON; default: built-in rules)",
-    )
-    p.add_argument(
-        "--bench-file", default=DEFAULT_REPORT,
-        help=f"bench report feeding default rules (default {DEFAULT_REPORT})",
-    )
-    p.add_argument(
-        "--ledger-dir", default="results/service/ledger",
-        help="run ledger for the recent-runs list (default results/service/ledger)",
-    )
-    p.add_argument("--width", type=int, default=48, help="sparkline width (default 48)")
-    p.add_argument("--tail", type=int, default=8, help="recent runs to list (default 8)")
-    p.set_defaults(func=_cmd_dash)
 
     p = sub.add_parser("list", help="available workloads/strategies/experiments")
     p.set_defaults(func=_cmd_list)

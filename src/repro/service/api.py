@@ -26,24 +26,7 @@ Routes (all JSON unless noted):
 * ``GET /metrics`` -- Prometheus text exposition (fleet counters, cache
   gauges, service request/dedup/queue-depth series, request and
   per-stage latency histograms).
-* ``GET /metrics/history`` -- the time-series store: no query gives the
-  store index (names, kinds, label sets, snapshot counts);
-  ``?name=<family>[&seconds=N]`` gives raw points plus, for counters,
-  the restart-corrected cumulative view.
-* ``GET /slo`` -- fresh SLO evaluation over the store (rule verdicts,
-  values, burn rates).
-* ``GET /dashboard`` -- zero-dependency HTML dashboard (sparklines, SLO
-  status, recent runs with trace links) with the machine-readable
-  document embedded as JSON.
 * ``GET /healthz`` -- liveness probe.
-
-When a time-series directory is configured (the default), a background
-sampler snapshots the full registry plus ledger-derived throughput into
-``ServiceConfig.tsdb_dir`` every ``snapshot_interval`` seconds,
-evaluates the SLO rules against the store (exported as the
-``repro_slo_ok`` gauge and logged on breach transitions), and graceful
-shutdown appends one final flush snapshot after the drain -- so the
-store's last word agrees with the last ``/metrics`` scrape.
 
 With tracing on, every ``POST /runs`` response carries an
 ``X-Repro-Trace-Id`` header (the request's trace; a single-point POST's
@@ -75,8 +58,6 @@ from repro.service.store import LedgerRunStore
 from repro.telemetry.fleet import export_cache_stats
 from repro.telemetry.ledger import RunLedger
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.slo import SloReport, default_rules, evaluate_slo, load_rules
-from repro.telemetry.timeseries import TimeSeriesStore
 from repro.telemetry.tracing import SpanTracer, new_trace_id
 
 __all__ = ["ReproService", "ServiceConfig", "serve", "serve_in_thread"]
@@ -121,15 +102,11 @@ class ServiceConfig:
         trace_capacity: spans retained in the tracer's ring buffer.
         drain_timeout: graceful-shutdown bound in seconds -- how long
             SIGTERM/SIGINT waits for queued and in-flight runs.
-        tsdb_dir: time-series store directory (None, the default,
-            disables snapshots, SLO evaluation, ``/metrics/history``,
-            ``/slo`` and ``/dashboard``; ``repro serve`` passes
-            ``results/tsdb`` unless invoked with ``--tsdb ''``).
-        snapshot_interval: seconds between registry snapshots and SLO
-            evaluations.
-        slo_rules: SLO rules file (TOML ``[[slo]]`` tables or JSON);
-            None uses :func:`repro.telemetry.slo.default_rules` seeded
-            from the committed bench report when present.
+        tsdb_dir: must be None.  The time-series store this named is
+            gone; the field stays only so callers that still pass
+            ``tsdb_dir=None`` (the repo benchmark's service workload)
+            keep working.  Any other value raises
+            :class:`ConfigurationError`.
     """
 
     host: str = "127.0.0.1"
@@ -144,8 +121,6 @@ class ServiceConfig:
     trace_capacity: int = 4096
     drain_timeout: float = 30.0
     tsdb_dir: str | None = None
-    snapshot_interval: float = 15.0
-    slo_rules: str | None = None
 
 
 def _expand_sweep(grid: dict[str, Any]) -> list[dict[str, Any]]:
@@ -177,6 +152,11 @@ class ReproService:
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config if config is not None else ServiceConfig()
+        if self.config.tsdb_dir is not None:
+            raise ConfigurationError(
+                "tsdb_dir is no longer supported (the time-series store was "
+                "removed); leave it None"
+            )
         self.registry = MetricsRegistry()
         self.ledger: RunLedger | None = None
         if self.config.ledger_path is not None:
@@ -222,25 +202,6 @@ class ReproService:
             self.tracer.on_record = lambda span: stage_seconds.observe(
                 span.duration, stage=span.name
             )
-        self.tsdb: TimeSeriesStore | None = None
-        self.slo_rules = []
-        self.slo_report: SloReport | None = None
-        self._slo_ok = None
-        if self.config.tsdb_dir is not None:
-            self.tsdb = TimeSeriesStore(self.config.tsdb_dir)
-            if self.config.slo_rules is not None:
-                self.slo_rules = load_rules(self.config.slo_rules)
-            else:
-                from repro.perf.bench import load_report
-
-                self.slo_rules = default_rules(load_report())
-            self._slo_ok = self.registry.gauge(
-                "repro_slo_ok",
-                "1 when the SLO rule currently holds (or is skipped for lack "
-                "of data), 0 on breach",
-                ("rule",),
-            )
-        self._sampler: asyncio.Task | None = None
         self._server: asyncio.AbstractServer | None = None
         self.loop: Any = None  # set by serve_in_thread for test harnesses
 
@@ -259,12 +220,9 @@ class ReproService:
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
-        if self.tsdb is not None:
-            self._sampler = asyncio.ensure_future(self._sample_loop())
 
     async def close(self) -> None:
         """Stop accepting, drain the scheduler, release the executor."""
-        await self._stop_sampler()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -284,69 +242,10 @@ class ReproService:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        await self._stop_sampler()
         timeout = drain_timeout if drain_timeout is not None else self.config.drain_timeout
         drained = await self.scheduler.drain(timeout=timeout)
         await self.scheduler.close()
-        # Flush snapshot: the store's final word.  Taken after the drain
-        # so every ledger append and request counter is in it -- the
-        # last /metrics scrape a client took before SIGTERM reconciles
-        # against this line (modulo that scrape's own request, which by
-        # construction lands only here).
-        if self.tsdb is not None:
-            self._snapshot_once()
         return drained
-
-    # ------------------------------------------------------------- sampling
-
-    async def _sample_loop(self) -> None:
-        """Periodic snapshot + SLO evaluation (the serve-loop sentinel)."""
-        assert self.tsdb is not None
-        while True:
-            await asyncio.sleep(self.config.snapshot_interval)
-            self._snapshot_once()
-            self._evaluate_slo()
-
-    async def _stop_sampler(self) -> None:
-        if self._sampler is not None:
-            self._sampler.cancel()
-            try:
-                await self._sampler
-            except asyncio.CancelledError:
-                pass
-            self._sampler = None
-
-    def _snapshot_once(self) -> dict[str, Any] | None:
-        """Append one snapshot of registry + cache gauges + ledger."""
-        if self.tsdb is None:
-            return None
-        # Fold live cache stats into the registry first, exactly as a
-        # /metrics scrape would -- snapshots and scrapes must agree.
-        stats = self.scheduler.cache_stats()
-        if stats is not None:
-            export_cache_stats(self.registry, stats)
-        return self.tsdb.append_snapshot(registry=self.registry, ledger=self.ledger)
-
-    def _evaluate_slo(self) -> SloReport | None:
-        """Judge the rules against the store; export + log verdicts."""
-        if self.tsdb is None or not self.slo_rules:
-            return None
-        previous = self.slo_report
-        report = evaluate_slo(self.tsdb, self.slo_rules)
-        self.slo_report = report
-        if self._slo_ok is not None:
-            for result in report.results:
-                self._slo_ok.set(0.0 if not result.ok else 1.0, rule=result.rule.name)
-        previously_bad = {
-            result.rule.name for result in (previous.breaches if previous else [])
-        }
-        for result in report.breaches:
-            if result.rule.name not in previously_bad:
-                print(
-                    f"repro service: SLO BREACH {result.rule.name}: "
-                    f"{result.detail or result.rule.series}"
-                )
-        return report
 
     async def run_forever(self) -> None:
         """Start and serve until cancelled."""
@@ -434,12 +333,6 @@ class ReproService:
                 return 200, _json_body({"status": "ok", "runs": len(self.store)}), "application/json"
             if path == "/metrics" and method == "GET":
                 return await self._get_metrics()
-            if path == "/metrics/history" and method == "GET":
-                return self._get_history(query)
-            if path == "/slo" and method == "GET":
-                return self._get_slo()
-            if path == "/dashboard" and method == "GET":
-                return self._get_dashboard(query)
             if path == "/runs" and method == "POST":
                 return await self._post_runs(raw_body)
             if path == "/runs" and method == "GET":
@@ -621,78 +514,6 @@ class ReproService:
             export_cache_stats(self.registry, stats)
         text = self.registry.render_prometheus()
         return 200, text.encode("utf-8"), "text/plain; version=0.0.4"
-
-    def _require_tsdb(self) -> TimeSeriesStore:
-        if self.tsdb is None:
-            raise ReproError(
-                "time-series store disabled (start the service with a tsdb_dir)"
-            )
-        return self.tsdb
-
-    def _get_history(self, query: dict[str, str]) -> tuple[int, bytes, str]:
-        store = self._require_tsdb()
-        name = query.get("name")
-        if name is None:
-            return 200, _json_body(store.index()), "application/json"
-        try:
-            seconds = float(query.get("seconds", "0"))
-        except ValueError:
-            raise ConfigurationError("seconds must be a number")
-        last = store.last_snapshot()
-        now = last["ts"] if last else 0.0
-        start = now - seconds if seconds > 0 else None
-        kind = store.names().get(name)
-        if kind is None:
-            return 404, _error_body(f"no snapshots carry series {name!r}"), "application/json"
-        doc: dict[str, Any] = {
-            "name": name,
-            "kind": kind,
-            "window_seconds": seconds if seconds > 0 else None,
-            "points": [
-                [ts, value] for ts, value in store.series(name, start=start, end=now)
-            ],
-        }
-        if kind == "counter":
-            doc["cumulative"] = [
-                [ts, value]
-                for ts, value in store.counter_series(name, start=start, end=now)
-            ]
-        return 200, _json_body(doc), "application/json"
-
-    def _get_slo(self) -> tuple[int, bytes, str]:
-        store = self._require_tsdb()
-        report = evaluate_slo(store, self.slo_rules)
-        self.slo_report = report
-        doc = report.to_dict()
-        doc["rules"] = [rule.to_dict() for rule in self.slo_rules]
-        return 200, _json_body(doc), "application/json"
-
-    def _get_dashboard(self, query: dict[str, str]) -> tuple[int, bytes, str]:
-        from repro.service.dashboard import build_dashboard_doc, render_dashboard_html
-
-        store = self._require_tsdb()
-        try:
-            seconds = float(query.get("seconds", "3600"))
-        except ValueError:
-            raise ConfigurationError("seconds must be a number")
-        report = evaluate_slo(store, self.slo_rules) if self.slo_rules else None
-        if report is not None:
-            self.slo_report = report
-        recent = [meta.to_ref().to_dict() for meta in self.store.list()[-20:]]
-        doc = build_dashboard_doc(
-            store,
-            slo_report=report.to_dict() if report is not None else None,
-            runs=recent,
-            service={
-                "runs_known": len(self.store),
-                "queue_depth": self.scheduler.queue_depth(),
-            },
-            seconds=seconds,
-        )
-        html_page = render_dashboard_html(
-            doc, refresh_seconds=max(5, int(self.config.snapshot_interval))
-        )
-        return 200, html_page.encode("utf-8"), "text/html; charset=utf-8"
 
 
 def _route_label(path: str) -> str:

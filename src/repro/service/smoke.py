@@ -20,6 +20,9 @@ whole contract over actual HTTP:
 Every request/response pair is recorded into a JSON transcript
 (uploaded as a CI artifact), so a red run is diagnosable from the
 artifact alone.
+
+:func:`spawned_server` owns the server's set-up and teardown; the
+tracing smoke (:mod:`repro.service.trace_smoke`) runs under it too.
 """
 
 from __future__ import annotations
@@ -34,8 +37,9 @@ import sys
 import time
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator, Sequence
 
 #: The sweep: small enough for CI (4 CPUs, 5% scale), wide enough to
 #: exercise batching across strategies and machine points.
@@ -174,8 +178,23 @@ def _ledger_simulated_runs(ledger_dir: str) -> int:
     return RunLedger(ledger_dir).summarize()["simulated_runs"]
 
 
-def run_smoke(out_path: str, workdir: str) -> int:
-    transcript = Transcript()
+@contextmanager
+def spawned_server(
+    transcript: Transcript,
+    transcript_path: str | Path,
+    workdir: str | Path,
+    serve_flags: Sequence[str] = (),
+) -> Iterator[tuple[str, str, subprocess.Popen]]:
+    """Run ``repro serve`` on a free port for the body of a ``with``.
+
+    The server keeps its cache and ledger under ``workdir`` and gets
+    ``serve_flags`` appended to its command line; the body receives
+    ``(base_url, ledger_dir, proc)`` once ``/healthz`` answers.  On the
+    way out -- pass or fail -- a still-running server is interrupted
+    (killed if it will not stop), the tail of its output joins the
+    transcript, and the transcript is written to ``transcript_path``
+    with ``ok`` true only if the body finished without raising.
+    """
     port = _free_port()
     base = f"http://127.0.0.1:{port}"
     cache_dir = str(Path(workdir) / "cache")
@@ -189,6 +208,7 @@ def run_smoke(out_path: str, workdir: str) -> int:
         sys.executable, "-m", "repro", "serve",
         "--host", "127.0.0.1", "--port", str(port),
         "--cache", cache_dir, "--ledger-dir", ledger_dir,
+        *serve_flags,
     ]
     transcript.record("spawn", cmd=cmd, cache=cache_dir, ledger=ledger_dir)
     proc = subprocess.Popen(
@@ -197,7 +217,25 @@ def run_smoke(out_path: str, workdir: str) -> int:
     ok = False
     try:
         _wait_ready(transcript, base, proc)
+        yield base, ledger_dir, proc
+        ok = True
+    finally:
+        transcript.record("shutdown", server_alive=proc.poll() is None)
+        if proc.poll() is None:
+            proc.send_signal(signal.SIGINT)
+            try:
+                proc.wait(timeout=15)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait(timeout=15)
+        if proc.stdout is not None:
+            transcript.record("server_log", tail=proc.stdout.read()[-8000:])
+        transcript.write(transcript_path, ok)
 
+
+def run_smoke(out_path: str, workdir: str) -> int:
+    transcript = Transcript()
+    with spawned_server(transcript, out_path, workdir) as (base, ledger_dir, _proc):
         # 1. Submit the 2x2 sweep and poll to completion.
         _, submit = _request(transcript, "POST", f"{base}/runs", body=SWEEP, expect=202)
         _require(submit["count"] == 4, f"sweep expanded to {submit['count']} runs, wanted 4")
@@ -261,22 +299,8 @@ def run_smoke(out_path: str, workdir: str) -> int:
             'repro_service_submissions_total{result="dedup"} 4' in metrics_text,
             "dedup counter does not show the 4 folded resubmissions",
         )
-        ok = True
-    finally:
-        transcript.record("shutdown", server_alive=proc.poll() is None)
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGINT)
-            try:
-                proc.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=15)
-        if proc.stdout is not None:
-            transcript.record("server_log", tail=proc.stdout.read()[-8000:])
-        transcript.write(out_path, ok)
-    print(f"service smoke: {'ok' if ok else 'FAILED'} ({len(transcript.steps)} steps, "
-          f"transcript: {out_path})")
-    return 0 if ok else 1
+    print(f"service smoke: ok ({len(transcript.steps)} steps, transcript: {out_path})")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

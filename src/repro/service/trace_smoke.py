@@ -31,9 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import signal
-import subprocess
 import sys
 import urllib.request
 from pathlib import Path
@@ -42,11 +40,10 @@ from typing import Any
 from repro.service.smoke import (
     SmokeFailure,
     Transcript,
-    _free_port,
     _poll_runs,
     _request,
     _require,
-    _wait_ready,
+    spawned_server,
 )
 from repro.telemetry.tracing import SERVICE_PID
 
@@ -158,29 +155,10 @@ def _ledger_entry_for(ledger_dir: str, config_key: str):
 def run_trace_smoke(out_dir: str) -> int:
     transcript = Transcript()
     out = Path(out_dir)
-    port = _free_port()
-    base = f"http://127.0.0.1:{port}"
-    cache_dir = str(out / "cache")
-    ledger_dir = str(out / "ledger")
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[2])
-    env["PYTHONPATH"] = src + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    cmd = [
-        sys.executable, "-m", "repro", "serve",
-        "--host", "127.0.0.1", "--port", str(port),
-        "--cache", cache_dir, "--ledger-dir", ledger_dir,
-        "--trace", "--drain-timeout", "60",
-    ]
-    transcript.record("spawn", cmd=cmd)
-    proc = subprocess.Popen(
-        cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True
-    )
-    ok = False
-    try:
-        _wait_ready(transcript, base, proc)
-
+    flags = ("--trace", "--drain-timeout", "60")
+    with spawned_server(
+        transcript, out / "transcript.json", out, flags
+    ) as (base, ledger_dir, proc):
         # 1. One trace id, three vantage points.
         headers, submit = _post_with_headers(transcript, f"{base}/runs", SPEC)
         trace_id = headers.get("X-Repro-Trace-Id")
@@ -246,18 +224,8 @@ def run_trace_smoke(out_dir: str) -> int:
         code = proc.wait(timeout=90)
         _require(code == 0, f"SIGTERM exit code {code}, wanted graceful 0")
         transcript.record("graceful_shutdown", exit_code=code)
-        ok = True
-    finally:
-        transcript.record("shutdown", server_alive=proc.poll() is None)
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=15)
-        if proc.stdout is not None:
-            transcript.record("server_log", tail=proc.stdout.read()[-8000:])
-        transcript.write(out / "transcript.json", ok)
-    print(f"trace smoke: {'ok' if ok else 'FAILED'} ({len(transcript.steps)} steps, "
-          f"artifacts: {out})")
-    return 0 if ok else 1
+    print(f"trace smoke: ok ({len(transcript.steps)} steps, artifacts: {out})")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

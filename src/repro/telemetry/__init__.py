@@ -22,14 +22,6 @@ the experiment fleet is doing right now and what it has done before.
   dependency-free spans (trace/span/parent ids), a ring-buffered
   collector, and Chrome-trace stitching of service stages over the
   intra-run engine timeline.
-* :mod:`~repro.telemetry.timeseries` -- append-only JSONL time-series
-  store: periodic registry + ledger snapshots with delta-aware counter
-  reads across restarts, windowed histogram re-aggregation, and
-  downsampling for sparklines/dashboards.
-* :mod:`~repro.telemetry.slo` -- declarative SLO rules (TOML/JSON)
-  with threshold and burn-rate evaluation over any stored series; the
-  continuous serve-loop evaluator and the ``repro slo check``
-  regression sentinel share it.
 
 Telemetry is strictly opt-in and never forks the simulation: a
 telemetered run goes through the same pipeline
@@ -72,22 +64,6 @@ from repro.telemetry.registry import (
     MetricsRegistry,
     quantile_from_buckets,
 )
-from repro.telemetry.slo import (
-    SloReport,
-    SloResult,
-    SloRule,
-    default_rules,
-    evaluate_slo,
-    load_rules,
-)
-from repro.telemetry.timeseries import (
-    DEFAULT_TSDB_DIR,
-    TSDB_SCHEMA_VERSION,
-    TimeSeriesStore,
-    downsample,
-    ledger_families,
-    seed_bench_history,
-)
 from repro.telemetry.tracing import (
     ActiveSpan,
     Span,
@@ -103,7 +79,6 @@ __all__ = [
     "Band",
     "Counter",
     "DEFAULT_LEDGER_DIR",
-    "DEFAULT_TSDB_DIR",
     "DriftCheck",
     "DriftFrame",
     "DriftReport",
@@ -123,28 +98,17 @@ __all__ = [
     "MetricsRegistry",
     "QUICK_FRAME",
     "RunLedger",
-    "SloReport",
-    "SloResult",
-    "SloRule",
     "Span",
     "SpanTracer",
-    "TSDB_SCHEMA_VERSION",
     "TelemetryConfig",
-    "TimeSeriesStore",
     "Watchdog",
-    "default_rules",
-    "downsample",
     "evaluate",
-    "evaluate_slo",
-    "ledger_families",
-    "load_rules",
     "new_span_id",
     "new_trace_id",
     "profiled",
     "quantile_from_buckets",
     "render_waterfall",
     "run_drift",
-    "seed_bench_history",
     "stitch_chrome_trace",
     "summaries_from_ledger",
 ]

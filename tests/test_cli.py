@@ -200,8 +200,7 @@ class TestTraceCli:
 
 
 class TestObservabilityCli:
-    """`repro bench --history`, `repro slo check`, `repro dash`, and the
-    extended `repro ledger` banner."""
+    """`repro bench --history` and the extended `repro ledger` banner."""
 
     REPORT = {
         "current": {"events_per_sec": 100000.0},
@@ -223,78 +222,18 @@ class TestObservabilityCli:
         return path
 
     def test_bench_history_empty_report(self, tmp_path, capsys):
-        args = ["bench", "--history", "--file", str(tmp_path / "none.json"),
-                "--tsdb", ""]
+        args = ["bench", "--history", "--file", str(tmp_path / "none.json")]
         assert main(args) == 0
         assert "no bench history" in capsys.readouterr().out
 
-    def test_bench_history_trend_and_tsdb_seed(self, tmp_path, capsys):
+    def test_bench_history_trend(self, tmp_path, capsys):
         report = self._write_report(tmp_path)
-        tsdb = str(tmp_path / "tsdb")
-        args = ["bench", "--history", "--file", str(report), "--tsdb", tsdb]
+        args = ["bench", "--history", "--file", str(report)]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "2 history entries" in out
         assert "+20.0%" in out  # delta vs the comparable previous entry
         assert "trend:" in out
-        assert "seeded 2 new snapshot(s)" in out
-        # Re-seeding is idempotent.
-        assert main(args) == 0
-        assert "seeded 0 new snapshot(s)" in capsys.readouterr().out
-
-    def test_slo_check_exit_codes(self, tmp_path, capsys):
-        report = self._write_report(tmp_path)
-        tsdb = str(tmp_path / "tsdb")
-        healthy = tmp_path / "healthy.toml"
-        # Year-wide windows: the seeded bench points carry their own
-        # (old) timestamps, not the snapshot time.
-        healthy.write_text(
-            '[[slo]]\nname = "bench-floor"\n'
-            'series = "repro_bench_events_per_sec"\n'
-            'op = ">="\nthreshold = 1.0\nwindow_seconds = 31536000.0\n'
-        )
-        impossible = tmp_path / "impossible.toml"
-        impossible.write_text(
-            '[[slo]]\nname = "bench-sky"\n'
-            'series = "repro_bench_events_per_sec"\n'
-            'op = ">="\nthreshold = 999999999999.0\n'
-            'window_seconds = 31536000.0\n'
-        )
-        base = ["slo", "check", "--tsdb", tsdb,
-                "--bench-file", str(report),
-                "--ledger-dir", str(tmp_path / "ledger")]
-
-        assert main([*base, "--snapshot", "--rules", str(healthy)]) == 0
-        out = capsys.readouterr().out
-        assert "appended 1 ledger snapshot" in out and "OK" in out
-
-        report_json = tmp_path / "slo.json"
-        code = main([*base, "--rules", str(impossible), "--json", str(report_json)])
-        assert code == 1  # the regression sentinel's nonzero exit
-        assert "BREACHED" in capsys.readouterr().out
-        import json
-
-        doc = json.loads(report_json.read_text())
-        assert doc["ok"] is False and doc["breaches"] == 1
-        assert doc["rules"][0]["name"] == "bench-sky"
-
-    def test_dash_empty_store_hints(self, tmp_path, capsys):
-        args = ["dash", "--tsdb", str(tmp_path / "tsdb")]
-        assert main(args) == 0
-        assert "no snapshots yet" in capsys.readouterr().out
-
-    def test_dash_renders_sparklines_and_slo(self, tmp_path, capsys):
-        report = self._write_report(tmp_path)
-        tsdb = str(tmp_path / "tsdb")
-        assert main(["bench", "--history", "--file", str(report),
-                     "--tsdb", tsdb]) == 0
-        capsys.readouterr()
-        args = ["dash", "--tsdb", tsdb, "--bench-file", str(report),
-                "--ledger-dir", str(tmp_path / "ledger")]
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "repro dash --" in out and "snapshots in" in out
-        assert "engine bench events/sec" in out
 
     def test_ledger_banner_percentiles_and_strategies(self, tmp_path, capsys):
         from tests.test_telemetry import _entry

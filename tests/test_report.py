@@ -7,8 +7,16 @@ from repro.experiments.runner import ExperimentRunner
 
 
 @pytest.fixture(scope="module")
-def report():
-    return run_all(ExperimentRunner(num_cpus=4, scale=0.08))
+def shared():
+    """One full run_all, shared: (runner, report).  Later run_all calls
+    on the same runner are served from its run cache."""
+    runner = ExperimentRunner(num_cpus=4, scale=0.08)
+    return runner, run_all(runner)
+
+
+@pytest.fixture
+def report(shared):
+    return shared[1]
 
 
 class TestRunAll:
@@ -25,17 +33,15 @@ class TestRunAll:
             "figure1", "figure2", "figure3", "utilization", "headline",
         }
 
-    def test_runner_sharing_bounds_simulation_count(self):
-        runner = ExperimentRunner(num_cpus=4, scale=0.08)
-        run_all(runner)
+    def test_runner_sharing_bounds_simulation_count(self, shared):
+        runner, _report = shared
         # 5 workloads x 5 strategies x 4 latencies = 100, plus the
         # restructured runs (2 workloads x 3 strategies x 4 latencies).
         # Anything materially above that means the cache broke.
         assert runner.cached_run_count <= 100 + 24
 
-    def test_charts_mode_adds_figures(self):
-        runner = ExperimentRunner(num_cpus=4, scale=0.08)
-        plain = run_all(runner)
+    def test_charts_mode_adds_figures(self, shared):
+        runner, plain = shared
         with_charts = run_all(runner, charts=True)
         assert len(with_charts.text) > len(plain.text)
         assert "legend:" in with_charts.text

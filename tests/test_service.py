@@ -36,7 +36,6 @@ from repro.service.store import InMemoryRunStore, LedgerRunStore, spec_from_ledg
 from repro.telemetry.fleet import FleetError, TelemetryConfig, export_cache_stats
 from repro.telemetry.ledger import LedgerEntry, RunLedger
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.timeseries import TimeSeriesStore
 
 #: The CI-speed frame used throughout: tiny but a real simulation.
 QUICK = dict(workload="Water", num_cpus=2, scale=0.02, transfer_cycles=4)
@@ -576,10 +575,16 @@ class TestHttpApi:
         status, doc = _http("GET", f"{base}/runs/{'0' * 16}/result")
         assert status == 404
 
-    def test_unknown_route_is_404(self, service):
+    # The last three were the time-series store's routes; they are gone.
+    @pytest.mark.parametrize("route", ["/nope", "/metrics/history", "/slo", "/dashboard"])
+    def test_unknown_route_is_404(self, service, route):
         svc, base = service
-        status, doc = _http("GET", f"{base}/nope")
+        status, doc = _http("GET", f"{base}{route}")
         assert status == 404
+
+    def test_tsdb_dir_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="tsdb_dir"):
+            ReproService(ServiceConfig(tsdb_dir="x"))
 
 
 # --------------------------------------------------------------------------
@@ -762,160 +767,6 @@ class TestGracefulShutdown:
             assert second.result(timeout=30) is True
         finally:
             stop()
-
-
-# --------------------------------------------------------------------------
-# Observability routes: /metrics/history, /slo, /dashboard (tentpole)
-# --------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="class")
-def obs_service(tmp_path_factory):
-    """A service with the time-series store on and a fast sampler."""
-    root = tmp_path_factory.mktemp("obs")
-    config = ServiceConfig(
-        host="127.0.0.1",
-        port=0,
-        cache_dir=str(root / "cache"),
-        ledger_path=str(root / "ledger" / "runs.jsonl"),
-        tsdb_dir=str(root / "tsdb"),
-        snapshot_interval=0.2,
-    )
-    svc, base, stop = serve_in_thread(config)
-    try:
-        yield svc, base, root
-    finally:
-        stop()
-
-
-class TestObservabilityRoutes:
-    def _wait_snapshots(self, base: str, minimum: int, budget: int = 100) -> dict:
-        import time
-
-        while True:
-            status, index = _http("GET", f"{base}/metrics/history")
-            assert status == 200
-            if index["snapshots"] >= minimum:
-                return index
-            budget -= 1
-            assert budget > 0, "sampler produced no snapshots"
-            time.sleep(0.2)
-
-    def test_history_index_and_named_series(self, obs_service):
-        svc, base, _root = obs_service
-        status, doc = _http("POST", f"{base}/runs", dict(QUICK, strategy="NP"))
-        assert status == 202
-        _poll_completed(base, doc["run_id"])
-        index = self._wait_snapshots(base, minimum=2)
-        assert index["series"]["repro_service_requests_total"]["kind"] == "counter"
-        # Ledger-derived families ride along in every snapshot.
-        assert "repro_ledger_entries" in index["series"]
-
-        status, series = _http(
-            "GET", f"{base}/metrics/history?name=repro_service_requests_total"
-        )
-        assert status == 200
-        assert series["kind"] == "counter"
-        # The restart-corrected view is monotone and never below raw.
-        values = [value for _ts, value in series["cumulative"]]
-        assert values == sorted(values) and values[-1] > 0
-        assert len(series["points"]) == len(values)
-
-        status, _err = _http("GET", f"{base}/metrics/history?name=nope_total")
-        assert status == 404
-
-    def test_slo_route_and_live_gauge(self, obs_service):
-        svc, base, _root = obs_service
-        self._wait_snapshots(base, minimum=1)
-        status, doc = _http("GET", f"{base}/slo")
-        assert status == 200
-        assert set(doc) >= {"ok", "rules", "results", "breaches"}
-        rule_names = [r["name"] for r in doc["rules"]]
-        assert "request-latency-p95" in rule_names
-        # The serve-loop evaluator mirrors verdicts into a gauge.
-        status, text = _http("GET", f"{base}/metrics")
-        assert "repro_slo_ok" in text
-
-    def test_dashboard_embeds_schema_checked_json(self, obs_service):
-        svc, base, _root = obs_service
-        self._wait_snapshots(base, minimum=1)
-        status, html = _http("GET", f"{base}/dashboard")
-        assert status == 200 and isinstance(html, str)
-        marker = 'id="dashboard-data">'
-        start = html.index(marker) + len(marker)
-        doc = json.loads(html[start:html.index("</script>", start)])
-        assert doc["schema"] == 1
-        assert doc["tsdb"]["snapshots"] >= 1
-        assert {"slo", "recent_runs", "series", "service"} <= set(doc)
-        names = {s["name"] for s in doc["series"]}
-        assert "repro_service_requests_total" in names
-
-    def test_disabled_tsdb_routes_are_409(self, service):
-        svc, base = service
-        for route in ("/metrics/history", "/slo", "/dashboard"):
-            status, err = _http("GET", f"{base}{route}")
-            assert status == 409, route
-            assert "tsdb" in err["error"]
-
-    def test_shutdown_flush_reconciles_with_final_scrape(self, tmp_path):
-        """The flush snapshot is the final scrape plus only that scrape's
-        own request (counters bump after the response is written)."""
-        config = ServiceConfig(
-            host="127.0.0.1",
-            port=0,
-            cache_dir=str(tmp_path / "cache"),
-            ledger_path=str(tmp_path / "ledger" / "runs.jsonl"),
-            tsdb_dir=str(tmp_path / "tsdb"),
-            snapshot_interval=3600.0,  # only the shutdown flush writes
-        )
-        svc, base, stop = serve_in_thread(config)
-        try:
-            status, doc = _http("POST", f"{base}/runs", dict(QUICK, strategy="NP"))
-            assert status == 202
-            _poll_completed(base, doc["run_id"])
-            _http("GET", f"{base}/metrics")  # so the final scrape has its line
-            status, metrics_text = _http("GET", f"{base}/metrics")
-            assert status == 200
-            future = asyncio.run_coroutine_threadsafe(svc.shutdown(), svc.loop)
-            assert future.result(timeout=90) is True
-        finally:
-            stop()
-
-        store = TimeSeriesStore(tmp_path / "tsdb")
-        flush = store.last_snapshot()
-        assert flush is not None and flush["source"] == "service"
-        families = flush["families"]
-
-        def scraped(prefix: str) -> float:
-            for line in metrics_text.splitlines():
-                if line.startswith(prefix):
-                    return float(line.rpartition(" ")[2])
-            pytest.fail(f"no {prefix!r} line in the final scrape")
-
-        def flushed(name: str, **labels: str) -> float:
-            for sample in families[name]["samples"]:
-                if sample["labels"] == labels:
-                    return sample["value"]
-            pytest.fail(f"no {name} {labels} sample in the flush snapshot")
-
-        # The scrape's own request lands only in the flush.
-        assert flushed(
-            "repro_service_requests_total",
-            method="GET", route="/metrics", status="200",
-        ) == scraped(
-            'repro_service_requests_total{method="GET",route="/metrics",status="200"}'
-        ) + 1
-        # Everything the scrape did not touch matches exactly.
-        assert flushed(
-            "repro_service_runs", status="completed"
-        ) == scraped('repro_service_runs{status="completed"}')
-        assert flushed(
-            "repro_service_submissions_total", result="new"
-        ) == scraped('repro_service_submissions_total{result="new"}')
-        # Ledger families reconcile with the ledger itself.
-        summary = RunLedger(tmp_path / "ledger").summarize()
-        assert flushed("repro_ledger_entries") == summary["entries"] == 1
-        assert flushed("repro_ledger_simulated_runs") == summary["simulated_runs"]
 
 
 # --------------------------------------------------------------------------
