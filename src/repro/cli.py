@@ -10,9 +10,10 @@ Commands:
 * ``analyze`` -- sharing attribution and restructuring advice;
 * ``trace`` -- request-trace waterfall of a service run, or write and
   inspect workload trace files;
-* ``bench`` -- engine throughput micro-benchmark with a regression
-  check against the committed ``BENCH_engine.json``; ``--history``
-  prints the report's trend table and sparkline;
+* ``bench`` -- same-host A/B of simulator speed: interleaved pairs of
+  the engine micro-benchmark and perfbench's engine-contended workload
+  on a git revision and the working tree, failing on a regression
+  beyond a metric's bound;
 * ``timeline`` -- run one configuration with the observability taps on,
   print the windowed telemetry as sparklines and export the event
   timeline as Chrome trace JSON (Perfetto-loadable);
@@ -40,14 +41,13 @@ Examples::
     python -m repro simulate --workload Mp3d --strategy PWS --transfer 4
     python -m repro experiment figure2 --chart
     python -m repro analyze --workload Pverify
-    python -m repro bench --quick
+    python -m repro bench --against HEAD
     python -m repro timeline --workload water --quick
     python -m repro c2c --workload pverify --strategy PWS --quick
     python -m repro fleet --workloads Water,Mp3d --workers 4 --profile
     python -m repro drift --quick
     python -m repro ledger --tail 5
     python -m repro cache --prune
-    python -m repro bench --history
     python -m repro audit --quick
     python -m repro serve --port 8787 --trace
     python -m repro trace <run_id> --save trace.json
@@ -80,7 +80,6 @@ from repro.experiments import (
 )
 from repro.experiments.runner import ExperimentRunner
 from repro.metrics.formatting import format_run_summary, format_table
-from repro.perf.bench import DEFAULT_REPORT
 from repro.common.errors import ConfigurationError
 from repro.prefetch.strategies import (
     ADAPT,
@@ -119,6 +118,37 @@ def _resolve_workload(name: str) -> str:
             return canonical
     raise ReproError(
         f"unknown workload {name!r}; expected one of {', '.join(ALL_WORKLOAD_NAMES)}"
+    )
+
+
+def _workload_arg(name: str) -> str:
+    """argparse ``type`` for ``--workload``: case-insensitive, clean error."""
+    try:
+        return _resolve_workload(name)
+    except ReproError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _strategy_arg(name: str) -> PrefetchStrategy:
+    """argparse ``type`` for ``--strategy``: case-insensitive, clean error."""
+    try:
+        return strategy_by_name(name)
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _add_workload_arg(parser: argparse.ArgumentParser, required: bool = True) -> None:
+    parser.add_argument(
+        "--workload", required=required, type=_workload_arg,
+        help="workload name (case-insensitive)",
+    )
+
+
+def _add_strategy_arg(parser: argparse.ArgumentParser, default: str | None) -> None:
+    parser.add_argument(
+        "--strategy", default=default, type=_strategy_arg,
+        help="NP/PREF/EXCL/LPD/PWS/PBUF/ADAPT or a derived name like PREF(d=400) "
+        "(case-insensitive)",
     )
 
 
@@ -245,7 +275,7 @@ def _machine(args: argparse.Namespace) -> MachineConfig:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     runner = _runner(args)
-    strategy = _apply_adaptive_knobs(strategy_by_name(args.strategy), args)
+    strategy = _apply_adaptive_knobs(args.strategy, args)
     result = runner.compare(
         args.workload, strategy, _machine(args), restructured=args.restructured
     )
@@ -414,10 +444,10 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     from repro.metrics.charts import sparkline
     from repro.obs.export import write_chrome_trace
 
-    workload = _resolve_workload(args.workload)
+    workload = args.workload
     if args.quick:
         args.cpus, args.scale = 4, 0.05
-    strategy = _apply_adaptive_knobs(strategy_by_name(args.strategy), args)
+    strategy = _apply_adaptive_knobs(args.strategy, args)
     runner = ExperimentRunner(
         num_cpus=args.cpus,
         seed=args.seed,
@@ -549,10 +579,10 @@ def _cmd_c2c(args: argparse.Namespace) -> int:
     if not args.workload:
         print("error: c2c requires --workload (or --load FILE)", file=sys.stderr)
         return 2
-    workload = _resolve_workload(args.workload)
+    workload = args.workload
     if args.quick:
         args.cpus, args.scale = 4, 0.05
-    strategy = _apply_adaptive_knobs(strategy_by_name(args.strategy), args)
+    strategy = _apply_adaptive_knobs(args.strategy, args)
     runner = ExperimentRunner(
         num_cpus=args.cpus,
         seed=args.seed,
@@ -618,124 +648,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import (
-        append_history,
-        check_regression,
-        load_report,
-        run_microbench,
-        update_report,
-    )
+    from repro.perf.ab import run_ab
 
-    if args.history:
-        return _bench_history(args)
-    result = run_microbench(
-        workload=args.workload,
-        num_cpus=args.cpus,
-        scale=args.scale,
-        seed=args.seed,
-        min_seconds=1.0 if args.quick else 10.0,
-    )
-    report = load_report(args.file)
-    print(
-        f"{result.workload}: {result.events:,} events x {result.runs} runs, "
-        f"best {result.events_per_sec:,.0f} events/sec "
-        f"({result.wall_seconds:.2f}s total)"
-    )
-    baseline_eps = ((report or {}).get("baseline") or {}).get("events_per_sec")
-    if baseline_eps:
-        print(
-            f"speedup vs recorded baseline ({baseline_eps:,.0f} events/sec): "
-            f"{result.events_per_sec / baseline_eps:.2f}x"
-        )
-    headline = None
-    if args.headline:
-        import time
-
-        from repro.experiments import headline as headline_mod
-
-        runner = ExperimentRunner(num_cpus=args.cpus, seed=args.seed, scale=args.scale)
-        t0 = time.perf_counter()
-        headline_mod.run(runner)
-        headline = {
-            "experiment": "headline",
-            "wall_seconds": round(time.perf_counter() - t0, 2),
-        }
-        print(f"headline experiment: {headline['wall_seconds']:.1f}s end to end")
-    if args.update:
-        update_report(result, args.file, headline=headline, quick=args.quick)
-        print(f"updated {args.file}")
-        _print_trend(*append_history(result, args.file, quick=args.quick))
-        return 0
-    ok, reference, ratio, note = check_regression(
-        result.events_per_sec, report, tolerance=1.0 - args.min_ratio, quick=args.quick
-    )
-    if reference is not None:
-        print(
-            f"regression check vs committed {reference:,.0f} events/sec: "
-            f"ratio {ratio:.2f} ({'ok' if ok else 'REGRESSION'})"
-        )
-    if note:
-        print(f"note: {note}")
-    _print_trend(*append_history(result, args.file, quick=args.quick))
-    return 0 if ok else 1
-
-
-def _bench_history(args: argparse.Namespace) -> int:
-    """``repro bench --history``: the trajectory the report has been
-    silently accumulating, as a trend table + sparkline."""
-    from repro.metrics.charts import sparkline
-    from repro.perf.bench import load_report
-
-    report = load_report(args.file)
-    history = [
-        entry
-        for entry in ((report or {}).get("history") or [])
-        if isinstance(entry, dict) and entry.get("events_per_sec")
-    ]
-    if not history:
-        print(f"{args.file}: no bench history recorded yet (run `repro bench` to append)")
-        return 0
-    print(f"{args.file}: {len(history)} history entries")
-    print(f"{'timestamp':<26} {'workload':<12} {'cal':<6} {'eng':<4} {'events/sec':>12} {'Δ':>8}")
-    prev_by_key: dict = {}
-    for entry in history:
-        key = (
-            entry.get("workload"),
-            entry.get("num_cpus"),
-            entry.get("scale"),
-            bool(entry.get("quick")),
-            entry.get("engine_version"),
-        )
-        eps = float(entry["events_per_sec"])
-        prev = prev_by_key.get(key)
-        delta = f"{eps / prev - 1.0:+.1%}" if prev else "-"
-        prev_by_key[key] = eps
-        print(
-            f"{str(entry.get('timestamp', '?')):<26} "
-            f"{str(entry.get('workload', '?')):<12} "
-            f"{'quick' if entry.get('quick') else 'full':<6} "
-            f"{str(entry.get('engine_version', '?')):<4} "
-            f"{eps:>12,.0f} {delta:>8}"
-        )
-    values = [float(entry["events_per_sec"]) for entry in history]
-    print(f"trend: {sparkline(values, width=min(60, max(8, len(values))))} "
-          f"({min(values):,.0f} .. {max(values):,.0f} events/sec)")
-    return 0
-
-
-def _print_trend(previous: dict | None, entry: dict) -> None:
-    """One-line history trend after a bench measurement is recorded."""
-    if previous is None:
-        print(f"history: first comparable entry recorded ({entry['timestamp']})")
-        return
-    prev_eps = previous.get("events_per_sec")
-    if not prev_eps:
-        return
-    delta = entry["events_per_sec"] / prev_eps - 1.0
-    print(
-        f"history: {delta:+.1%} vs previous comparable run "
-        f"({prev_eps:,.0f} events/sec at {previous.get('timestamp', '?')})"
-    )
+    return run_ab(args.against, pairs=args.pairs)
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
@@ -999,8 +914,8 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
         if doc["exists"]:
             doc["summary"] = ledger.summarize()
             entries = ledger.query(
-                workload=args.workload and _resolve_workload(args.workload),
-                strategy=args.strategy,
+                workload=args.workload,
+                strategy=args.strategy and args.strategy.name,
                 outcome=args.outcome,
             )
             shown = entries[-args.tail:] if args.tail else entries
@@ -1045,8 +960,8 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
                 f"{stats['events_per_sec']:>12,.0f} events/sec"
             )
     entries = ledger.query(
-        workload=args.workload and _resolve_workload(args.workload),
-        strategy=args.strategy,
+        workload=args.workload,
+        strategy=args.strategy and args.strategy.name,
         outcome=args.outcome,
     )
     shown = entries[-args.tail :] if args.tail else []
@@ -1121,15 +1036,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run one configuration")
-    p.add_argument("--workload", required=True, choices=ALL_WORKLOAD_NAMES)
-    p.add_argument("--strategy", default="PREF", help="NP/PREF/EXCL/LPD/PWS/PBUF/ADAPT")
+    _add_workload_arg(p)
+    _add_strategy_arg(p, default="PREF")
     p.add_argument("--restructured", action="store_true")
     _add_machine_args(p)
     _add_adaptive_args(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="bus-latency sweep for one workload")
-    p.add_argument("--workload", required=True, choices=ALL_WORKLOAD_NAMES)
+    _add_workload_arg(p)
     p.add_argument("--strategies", default="NP,PREF,EXCL,LPD,PWS")
     p.add_argument("--latencies", default="4,8,16,32")
     p.add_argument("--restructured", action="store_true")
@@ -1143,13 +1058,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("stats", help="static trace statistics")
-    p.add_argument("--workload", required=True, choices=ALL_WORKLOAD_NAMES)
+    _add_workload_arg(p)
     p.add_argument("--restructured", action="store_true")
     _add_machine_args(p)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("analyze", help="sharing attribution + restructuring advice")
-    p.add_argument("--workload", required=True, choices=ALL_WORKLOAD_NAMES)
+    _add_workload_arg(p)
     p.add_argument("--restructured", action="store_true")
     _add_machine_args(p)
     p.set_defaults(func=_cmd_analyze)
@@ -1168,44 +1083,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--load", help="render a previously saved trace JSON instead of fetching")
     p.add_argument("--save", help="also write the fetched trace JSON here (Perfetto-loadable)")
-    p.add_argument("--workload", choices=ALL_WORKLOAD_NAMES)
+    _add_workload_arg(p, required=False)
     p.add_argument("--out", help="write the generated workload trace to this .gz file")
     p.add_argument("--info", help="print statistics of an existing workload trace file")
     p.add_argument("--restructured", action="store_true")
     _add_machine_args(p)
     p.set_defaults(func=_cmd_trace)
 
-    p = sub.add_parser("bench", help="engine throughput benchmark + regression check")
-    p.add_argument("--quick", action="store_true", help="short calibration (CI smoke)")
-    p.add_argument(
-        "--update", action="store_true",
-        help="write the measurement into the report instead of checking",
-    )
-    p.add_argument("--file", default=DEFAULT_REPORT, help="report path")
-    p.add_argument(
-        "--min-ratio", type=float, default=0.7,
-        help="fail when measured/committed events/sec drops below this (default 0.7)",
+    p = sub.add_parser(
+        "bench", help="same-host A/B of simulator speed against a git revision"
     )
     p.add_argument(
-        "--headline", action="store_true",
-        help="also time the headline experiment end to end",
+        "--against", required=True, metavar="REV",
+        help="git revision to compare the working tree with (e.g. HEAD, a merge-base)",
     )
-    p.add_argument("--workload", default="Water", choices=ALL_WORKLOAD_NAMES)
-    p.add_argument("--cpus", type=int, default=12, help="processor count (default 12)")
-    p.add_argument("--scale", type=float, default=1.0, help="workload scale (default 1.0)")
-    p.add_argument("--seed", type=int, default=42, help="workload seed (default 42)")
     p.add_argument(
-        "--history", action="store_true",
-        help="print the report's history as a trend table + sparkline "
-        "(no measurement run)",
+        "--pairs", type=int, default=5, help="interleaved base/change pairs (default 5)"
     )
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "timeline", help="observed run: telemetry sparklines + Chrome trace export"
     )
-    p.add_argument("--workload", required=True, help="workload name (case-insensitive)")
-    p.add_argument("--strategy", default="PREF", help="NP/PREF/EXCL/LPD/PWS/PBUF/ADAPT")
+    _add_workload_arg(p)
+    _add_strategy_arg(p, default="PREF")
     p.add_argument(
         "--quick", action="store_true", help="small 4-CPU, 0.05-scale run (CI smoke)"
     )
@@ -1226,8 +1127,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "c2c", help="per-cache-line heat report (perf c2c analogue)"
     )
-    p.add_argument("--workload", help="workload name (case-insensitive)")
-    p.add_argument("--strategy", default="PWS", help="NP/PREF/EXCL/LPD/PWS/PBUF/ADAPT")
+    _add_workload_arg(p, required=False)
+    _add_strategy_arg(p, default="PWS")
     p.add_argument("--restructured", action="store_true")
     p.add_argument(
         "--quick", action="store_true", help="small 4-CPU, 0.05-scale run (CI smoke)"
@@ -1348,8 +1249,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"run-ledger directory (default {DEFAULT_LEDGER_DIR})",
     )
     p.add_argument("--tail", type=int, default=10, help="recent entries to print (default 10)")
-    p.add_argument("--workload", help="filter by workload (case-insensitive)")
-    p.add_argument("--strategy", help="filter by strategy name")
+    _add_workload_arg(p, required=False)
+    _add_strategy_arg(p, default=None)
     p.add_argument(
         "--outcome", choices=("ok", "error", "timeout"), help="filter by outcome"
     )
@@ -1405,7 +1306,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed usage or the error
+        return exc.code
     try:
         return args.func(args)
     except ReproError as exc:

@@ -1,12 +1,14 @@
-"""Performance infrastructure: engine benchmarking and result caching.
+"""Performance infrastructure: the same-host A/B and result caching.
 
-* :mod:`repro.perf.bench` -- the calibrated engine micro-benchmark
-  behind ``repro bench`` and the ``BENCH_engine.json`` report;
+* :mod:`repro.perf.ab` -- ``repro bench --against REV``: interleaved
+  pairs of engine benchmarks on a git revision and the working tree,
+  judged per metric against its bound;
+* :mod:`repro.perf.probe` -- the Water x12 engine micro-benchmark the
+  A/B runs as a script on each side;
 * :mod:`repro.perf.diskcache` -- the persistent on-disk simulation
   result cache used by :class:`repro.experiments.runner.ExperimentRunner`.
 """
 
-from repro.perf.bench import MicrobenchResult, run_microbench
 from repro.perf.diskcache import ResultDiskCache, content_key
 
-__all__ = ["MicrobenchResult", "ResultDiskCache", "content_key", "run_microbench"]
+__all__ = ["ResultDiskCache", "content_key"]

@@ -16,6 +16,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--workload", "nope"])
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "stats", "analyze"])
+    def test_workload_names_are_case_insensitive(self, command):
+        args = build_parser().parse_args([command, "--workload", "water"])
+        assert args.workload == "Water"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["stats", "--workload", "nope"], "unknown workload 'nope'"),
+            (["simulate", "--workload", "Water", "--strategy", "nope"], "unknown strategy 'nope'"),
+        ],
+    )
+    def test_unknown_names_are_argparse_errors(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "usage: repro" in err and message in err
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "figure9"])
@@ -200,40 +217,7 @@ class TestTraceCli:
 
 
 class TestObservabilityCli:
-    """`repro bench --history` and the extended `repro ledger` banner."""
-
-    REPORT = {
-        "current": {"events_per_sec": 100000.0},
-        "history": [
-            {"timestamp": "2026-08-01T00:00:00+00:00", "events_per_sec": 100000.0,
-             "workload": "Water", "num_cpus": 4, "scale": 0.3, "quick": True,
-             "engine_version": "2"},
-            {"timestamp": "2026-08-02T00:00:00+00:00", "events_per_sec": 120000.0,
-             "workload": "Water", "num_cpus": 4, "scale": 0.3, "quick": True,
-             "engine_version": "2"},
-        ],
-    }
-
-    def _write_report(self, tmp_path):
-        import json
-
-        path = tmp_path / "BENCH_engine.json"
-        path.write_text(json.dumps(self.REPORT), encoding="utf-8")
-        return path
-
-    def test_bench_history_empty_report(self, tmp_path, capsys):
-        args = ["bench", "--history", "--file", str(tmp_path / "none.json")]
-        assert main(args) == 0
-        assert "no bench history" in capsys.readouterr().out
-
-    def test_bench_history_trend(self, tmp_path, capsys):
-        report = self._write_report(tmp_path)
-        args = ["bench", "--history", "--file", str(report)]
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "2 history entries" in out
-        assert "+20.0%" in out  # delta vs the comparable previous entry
-        assert "trend:" in out
+    """The extended `repro ledger` banner."""
 
     def test_ledger_banner_percentiles_and_strategies(self, tmp_path, capsys):
         from tests.test_telemetry import _entry

@@ -1,5 +1,5 @@
 """Performance infrastructure: serialization, disk cache, parallel
-runner, bench harness -- and golden metrics pinning the engine fast path.
+runner, same-host A/B -- and golden metrics pinning the engine fast path.
 
 The hit-streak fast path in :mod:`repro.sim.engine` must be *bit-
 identical* to the generic heap path.  The golden-metrics test freezes
@@ -11,6 +11,8 @@ it corrupts the paper tables.
 from __future__ import annotations
 
 import json
+import subprocess
+import tempfile
 
 import pytest
 
@@ -19,15 +21,10 @@ from repro.bus.transaction import TransactionKind
 from repro.common.config import MachineConfig
 from repro.experiments.runner import ExperimentRunner, job_payload
 from repro.metrics.results import CpuMetrics, MissCounts, RunMetrics
-from repro.perf.bench import (
-    MicrobenchResult,
-    append_history,
-    check_regression,
-    load_report,
-    run_microbench,
-    update_report,
-)
+from repro.perf import ab
+from repro.perf.ab import MICROBENCH, judge, run_ab
 from repro.perf.diskcache import ResultDiskCache, content_key
+from repro.perf.probe import microbench
 from repro.prefetch.strategies import EXCL, NP, PREF, PWS
 from repro.sim.engine import ENGINE_VERSION
 
@@ -295,113 +292,163 @@ class TestParallelRunner:
         assert set(swept[4]) == {"NP", "PREF"}
 
 
-# -------------------------------------------------------------- benchmark
+# ---------------------------------------------------------- same-host A/B
 
 
-class TestBench:
-    def test_run_microbench_small(self):
-        r = run_microbench(
-            workload="Water", num_cpus=2, scale=0.05, min_seconds=0.0, max_runs=1
+class TestMicrobenchProbe:
+    def test_microbench_small(self):
+        assert microbench(num_cpus=2, scale=0.05, repeats=1) > 0
+
+
+class TestJudge:
+    """The A/B pass/fail rule, as a pure function of paired samples."""
+
+    @pytest.mark.parametrize(
+        "ratios, better, failed, wins, losses",
+        [
+            # A/A: the same code, ratios scattered around 1.
+            ((1.01, 0.97, 1.03, 0.99, 1.0), "higher", False, 2, 2),
+            ((0.98, 1.04, 1.0, 1.02, 0.95), "lower", False, 2, 2),
+            # A fast-path bypass on events/s: ~0.4, every pair lost.
+            ((0.41, 0.39, 0.40, 0.42, 0.38), "higher", True, 0, 5),
+            # Median beyond the bound but only N-2 pairs lost: passes.
+            ((0.5, 0.5, 0.5, 1.1, 1.2), "higher", False, 2, 3),
+            # Median beyond the bound, N-1 pairs lost: fails.
+            ((0.5, 0.5, 0.5, 0.6, 1.2), "higher", True, 1, 4),
+            # Worse, but within the bound in the median: passes.
+            ((0.8, 0.8, 0.8, 0.8, 0.8), "higher", False, 0, 5),
+            # events_per_s is higher-is-better: 1.5x is a win...
+            ((1.5, 1.5, 1.5, 1.5, 1.5), "higher", False, 5, 0),
+            # ...while scenario_s.p50 is lower-is-better: 1.5x is a loss.
+            ((1.5, 1.5, 1.5, 1.5, 1.5), "lower", True, 0, 5),
+            ((0.6, 0.6, 0.6, 0.6, 0.6), "lower", False, 5, 0),
+        ],
+    )
+    def test_rule(self, ratios, better, failed, wins, losses):
+        base = [100.0] * len(ratios)
+        verdict = judge(base, [100.0 * r for r in ratios], better, 0.25)
+        assert (verdict.failed, verdict.wins, verdict.losses) == (failed, wins, losses)
+        assert verdict.median_ratio == pytest.approx(sorted(ratios)[len(ratios) // 2])
+
+    def test_rejects_malformed_samples(self):
+        with pytest.raises(ValueError):
+            judge([1.0], [1.0], "up", 0.25)
+        with pytest.raises(ValueError):
+            judge([1.0, 2.0], [1.0], "higher", 0.25)
+
+
+FAKE_PERFBENCH = """\
+import json, os
+print(json.dumps({
+    "correct": os.environ.get("AB_TEST_CORRECT", "1") == "1",
+    "attempted": 1,
+    "failed": 0,
+    "metrics": {
+        "events_per_s": {"value": 100.0, "unit": "1/s"},
+        "scenario_s.p50": {"value": 0.5, "unit": "s"},
+    },
+}))
+"""
+
+
+def _git(cwd, *args):
+    return subprocess.run(
+        ["git", "-C", str(cwd), *args], check=True, capture_output=True, text=True
+    ).stdout
+
+
+class TestBenchAgainst:
+    """`repro bench --against REV` on a throwaway repository.
+
+    The repository holds a stand-in ``perfbench/`` whose run prints a
+    fixed result, and the engine probe is replaced, so these tests time
+    nothing; they check the worktree life cycle and the verdicts.
+    """
+
+    @pytest.fixture
+    def repo(self, tmp_path, monkeypatch):
+        repo = tmp_path / "repo"
+        (repo / "perfbench").mkdir(parents=True)
+        (repo / "src").mkdir()
+        (repo / "BENCHMARK.json").write_text(
+            json.dumps(
+                {
+                    "end_to_end": [
+                        {"name": "events_per_s", "better": "higher", "bound": 0.25},
+                        {"name": "scenario_s.p50", "better": "lower", "bound": 0.25},
+                    ]
+                }
+            )
         )
-        assert r.events > 0
-        assert r.events_per_sec > 0
-        assert r.runs == 1
-        assert r.engine_version == ENGINE_VERSION
-
-    def test_update_report_preserves_baseline(self, tmp_path):
-        path = tmp_path / "bench.json"
-        first = MicrobenchResult("Water", 2, 0.05, 42, 1000, 1, 0.01, 100000.0, "1")
-        update_report(first, path)
-        report = load_report(path)
-        assert report["baseline"]["events_per_sec"] == 100000.0
-
-        second = MicrobenchResult("Water", 2, 0.05, 42, 1000, 1, 0.005, 200000.0, "1")
-        report = update_report(second, path)
-        assert report["baseline"]["events_per_sec"] == 100000.0  # untouched
-        assert report["current"]["events_per_sec"] == 200000.0
-        assert report["current"]["speedup_vs_baseline"] == 2.0
-
-    def test_check_regression(self):
-        report = {"current": {"events_per_sec": 100000.0}}
-        ok, ref, ratio, note = check_regression(90000.0, report, tolerance=0.3)
-        assert ok and ref == 100000.0 and ratio == pytest.approx(0.9)
-        assert note is None
-        ok, _, _, _ = check_regression(60000.0, report, tolerance=0.3)
-        assert not ok
-        # no report -> vacuous pass, with a note saying so
-        ok, ref, ratio, note = check_regression(1.0, None)
-        assert (ok, ref, ratio) == (True, None, None)
-        assert "skipped" in note
-
-    def test_check_regression_engine_version_gate(self):
-        # A reference from another engine generation is not comparable:
-        # vacuous pass regardless of how bad the ratio looks.
-        report = {"current": {"events_per_sec": 100000.0, "engine_version": "1"}}
-        ok, ref, ratio, note = check_regression(
-            1000.0, report, tolerance=0.3, engine_version="2"
+        (repo / "perfbench" / "common.py").write_text(
+            "def host_fingerprint():\n    return {'cpu_count': 1}\n"
         )
-        assert ok and ref is None and ratio is None
-        assert "engine version" in note
-        # Same version: the check runs normally.
-        report = {"current": {"events_per_sec": 100000.0, "engine_version": "2"}}
-        ok, _, _, note = check_regression(
-            50000.0, report, tolerance=0.3, engine_version="2"
-        )
-        assert not ok and note is None
+        (repo / "perfbench" / "run.py").write_text(FAKE_PERFBENCH)
+        _git(repo, "init", "-q")
+        _git(repo, "add", "-A")
+        _git(repo, "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm", "seed")
+        monkeypatch.chdir(repo)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        (tmp_path / "tmp").mkdir()
+        monkeypatch.setattr(ab, "_microbench", lambda tree, label: {MICROBENCH.name: 1e5})
+        before = _git(repo, "worktree", "list", "--porcelain")
+        yield repo
+        # Whatever the run did, it leaves no worktree and no temp files.
+        assert _git(repo, "worktree", "list", "--porcelain") == before
+        assert not list((tmp_path / "tmp").iterdir())
 
-    def test_check_regression_notes_calibration_mismatch(self):
-        report = {
-            "current": {
-                "events_per_sec": 100000.0,
-                "engine_version": "2",
-                "quick": False,
-            }
-        }
-        ok, ref, _, note = check_regression(
-            90000.0, report, tolerance=0.3, engine_version="2", quick=True
-        )
-        assert ok and ref == 100000.0  # still checked...
-        assert "calibrations differ" in note  # ...but called out
-
-    def test_append_history_gates_on_engine_version(self, tmp_path):
-        path = tmp_path / "bench.json"
-        old = MicrobenchResult("Water", 2, 0.05, 42, 1000, 1, 0.01, 100000.0, "1")
-        append_history(old, path)
-        new = MicrobenchResult("Water", 2, 0.05, 42, 1000, 1, 0.005, 200000.0, "2")
-        previous, entry = append_history(new, path)
-        assert previous is None  # engine "1" history is not a comparable trend
-        assert entry["engine_version"] == "2"
-        previous, _ = append_history(new, path)
-        assert previous is not None  # but the "2" entry we just wrote is
-
-    def test_update_report_records_quick_flag(self, tmp_path):
-        path = tmp_path / "bench.json"
-        result = MicrobenchResult("Water", 2, 0.05, 42, 1000, 1, 0.01, 100000.0, "2")
-        report = update_report(result, path, quick=True)
-        assert report["current"]["quick"] is True
-        assert load_report(path)["current"]["quick"] is True
-
-    def test_cli_bench_update_and_check(self, tmp_path, capsys):
+    def test_same_code_passes_and_reports(self, repo, capsys):
         from repro.cli import main
 
-        path = str(tmp_path / "bench.json")
-        args = ["bench", "--quick", "--cpus", "2", "--scale", "0.05", "--file", path]
-        assert main(args + ["--update"]) == 0
-        assert load_report(path)["current"]["events_per_sec"] > 0
-        # Both branches of the check against written references: one no
-        # host can miss passes, one no host can reach fails loudly.  (A
-        # re-check against the measurement just taken would compare two
-        # 1-second samples of the host's noise.)
-        for reference, status, verdict in ((1.0, 0, "ok"), (1e12, 1, "REGRESSION")):
-            report = load_report(path)
-            report["current"]["events_per_sec"] = reference
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(report, fh)
-            capsys.readouterr()
-            assert main(args) == status
-            out = capsys.readouterr().out
-            assert "regression check" in out
-            assert f"({verdict})" in out
+        assert main(["bench", "--against", "HEAD", "--pairs", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "host: cpu_count=1" in out
+        for name in (
+            "microbench.events_per_s",
+            "engine-contended/events_per_s",
+            "engine-contended/scenario_s.p50",
+        ):
+            assert name in out
+        assert out.rstrip().endswith("repro bench: ok")
+
+    def test_regression_fails_and_names_the_metric(self, repo, monkeypatch, capsys):
+        from repro.cli import main
+
+        def slower_change(tree, label):
+            return {MICROBENCH.name: 4e4 if label == "working tree" else 1e5}
+
+        monkeypatch.setattr(ab, "_microbench", slower_change)
+        assert main(["bench", "--against", "HEAD", "--pairs", "3"]) == 1
+        assert "FAIL on microbench.events_per_s" in capsys.readouterr().out
+
+    def test_unknown_revision_is_named(self, repo, capsys):
+        from repro.cli import main
+
+        assert main(["bench", "--against", "no-such-rev"]) != 0
+        assert "no-such-rev" in capsys.readouterr().err
+
+    def test_worktree_removed_when_a_probe_raises(self, repo, monkeypatch):
+        def boom(tree, label):
+            raise RuntimeError("probe crashed")
+
+        monkeypatch.setattr(ab, "_microbench", boom)
+        with pytest.raises(RuntimeError, match="probe crashed"):
+            run_ab("HEAD", pairs=1)
+
+    def test_incorrect_perfbench_run_fails(self, repo, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.setenv("AB_TEST_CORRECT", "0")
+        assert main(["bench", "--against", "HEAD", "--pairs", "1"]) != 0
+        assert "correct: false" in capsys.readouterr().err
+
+    def test_refuses_a_different_benchmark(self, repo, capsys):
+        from repro.cli import main
+
+        with (repo / "perfbench" / "run.py").open("a") as fh:
+            fh.write("# edited\n")
+        assert main(["bench", "--against", "HEAD"]) != 0
+        assert "perfbench/run.py" in capsys.readouterr().err
 
 
 # ------------------------------------------------------- cache size cap
@@ -471,68 +518,3 @@ class TestDiskCacheSizeCap:
         assert len(cache) == 0
         out = capsys.readouterr().out
         assert "pruned 4 entries" in out
-
-
-# ------------------------------------------------------- bench history
-
-
-class TestBenchHistory:
-    def _result(self, eps=100000.0, **kw):
-        base = dict(
-            workload="Water",
-            num_cpus=2,
-            scale=0.05,
-            seed=42,
-            events=1000,
-            runs=1,
-            wall_seconds=0.01,
-            events_per_sec=eps,
-            engine_version="1",
-        )
-        base.update(kw)
-        return MicrobenchResult(**base)
-
-    def test_first_entry_has_no_previous(self, tmp_path):
-        path = tmp_path / "bench.json"
-        previous, entry = append_history(self._result(), path)
-        assert previous is None
-        assert entry["events_per_sec"] == 100000.0
-        assert entry["timestamp"]
-        assert load_report(path)["history"] == [entry]
-
-    def test_previous_is_most_recent_comparable(self, tmp_path):
-        path = tmp_path / "bench.json"
-        append_history(self._result(eps=100.0), path)
-        append_history(self._result(eps=200.0, num_cpus=4), path)  # frame differs
-        append_history(self._result(eps=300.0), path, quick=True)  # calibration differs
-        previous, _ = append_history(self._result(eps=400.0), path)
-        assert previous["events_per_sec"] == 100.0
-        assert len(load_report(path)["history"]) == 4
-
-    def test_history_is_trimmed_to_limit(self, tmp_path):
-        path = tmp_path / "bench.json"
-        for i in range(6):
-            append_history(self._result(eps=float(i)), path, limit=4)
-        history = load_report(path)["history"]
-        assert len(history) == 4
-        assert [e["events_per_sec"] for e in history] == [2.0, 3.0, 4.0, 5.0]
-
-    def test_history_survives_update_report(self, tmp_path):
-        path = tmp_path / "bench.json"
-        append_history(self._result(), path)
-        update_report(self._result(eps=123456.0), path)
-        report = load_report(path)
-        assert report["current"]["events_per_sec"] == 123456.0
-        assert len(report["history"]) == 1
-
-    def test_cli_bench_appends_history(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = str(tmp_path / "bench.json")
-        args = ["bench", "--quick", "--cpus", "2", "--scale", "0.05", "--file", path]
-        assert main(args + ["--update"]) == 0
-        assert main(args) == 0
-        history = load_report(path)["history"]
-        assert len(history) == 2
-        out = capsys.readouterr().out
-        assert "history" in out
