@@ -650,7 +650,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.perf.ab import run_ab
 
-    return run_ab(args.against, pairs=args.pairs)
+    return run_ab(args.against)
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
@@ -1096,9 +1096,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--against", required=True, metavar="REV",
         help="git revision to compare the working tree with (e.g. HEAD, a merge-base)",
-    )
-    p.add_argument(
-        "--pairs", type=int, default=5, help="interleaved base/change pairs (default 5)"
     )
     p.set_defaults(func=_cmd_bench)
 

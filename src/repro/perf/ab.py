@@ -3,17 +3,21 @@
 A speed figure means something only next to another one taken on the
 same machine, interleaved, by identical benchmark code.  :func:`run_ab`
 checks ``REV`` out of the local repository into a temporary detached
-``git worktree`` (no network) and runs ``pairs`` interleaved pairs of
-two probes on that tree (the base) and on the current working tree (the
-change), alternating which tree goes first:
+``git worktree`` (no network) and runs :data:`PAIRS` interleaved pairs
+of two probes on that tree (the base) and on the current working tree
+(the change), alternating which tree goes first:
 
 * the Water x12 engine micro-benchmark, :mod:`repro.perf.probe`.  The
   current tree's probe file runs against each tree's ``src/`` through
   ``PYTHONPATH``, so both sides are measured by the same code;
 * ``perfbench/run.py --workload engine-contended --seconds 3``,
-  unmodified, in each tree.  The trees must hold byte-identical
-  ``perfbench/`` and ``BENCHMARK.json``, and a run whose results fail
-  their digest check (``correct: false``) stops the comparison.
+  unmodified, in each tree.  A run whose results fail their digest
+  check (``correct: false``) stops the comparison.
+
+When ``perfbench/`` or ``BENCHMARK.json`` differ between the trees, the
+two sides would run different benchmarks, so nothing is measured: the
+A/B says so and exits 0, leaving the new benchmark to its own digest
+check.
 
 Each metric is judged by :func:`judge`; the end-to-end metrics take
 their ``better`` direction and bound from ``BENCHMARK.json``.  The
@@ -36,7 +40,7 @@ from typing import Iterator
 
 from repro.common.errors import ReproError
 
-__all__ = ["MICROBENCH", "Metric", "Verdict", "judge", "run_ab"]
+__all__ = ["MICROBENCH", "PAIRS", "Metric", "Verdict", "judge", "run_ab"]
 
 #: The probe script, run from this tree against either tree's sources.
 PROBE = Path(__file__).with_name("probe.py")
@@ -48,6 +52,10 @@ BENCHMARK_PATHS = ("BENCHMARK.json", "perfbench")
 PERFBENCH_WORKLOAD = "engine-contended"
 PERFBENCH_ARGS = ("perfbench/run.py", "--workload", PERFBENCH_WORKLOAD, "--seconds", "3")
 
+#: Interleaved base/change pairs per run.  With five, the "lost at least
+#: N-1 pairs" half of :func:`judge` still forgives one noisy pair.
+PAIRS = 5
+
 
 @dataclass(frozen=True)
 class Metric:
@@ -58,10 +66,10 @@ class Metric:
     bound: float
 
 
-#: On a 2-vCPU Xeon host, bypassing the engine's hit-streak fast path put
-#: this probe's median pair ratio at 0.39-0.46, while the same code on
-#: both sides gave medians of 0.92-1.07 (single pairs 0.80-1.46): a 0.25
-#: bound sits clear of both.
+#: Measured only on a 2-vCPU Xeon host (Python 3.11): bypassing the
+#: engine's hit-streak fast path put this probe's median pair ratio at
+#: 0.39-0.46, while the same code on both sides gave medians of
+#: 0.92-1.07 (single pairs 0.80-1.46): a 0.25 bound sits clear of both.
 MICROBENCH = Metric("microbench.events_per_s", "higher", 0.25)
 
 
@@ -137,14 +145,10 @@ def _benchmark_files(tree: Path) -> dict[str, bytes]:
     return {name: (tree / name).read_bytes() for name in names if (tree / name).is_file()}
 
 
-def _require_same_benchmark(base: Path, change: Path, label: str) -> None:
+def _benchmark_differences(base: Path, change: Path) -> list[str]:
+    """Benchmark files that differ between the two trees, sorted."""
     ours, theirs = _benchmark_files(change), _benchmark_files(base)
-    differ = sorted(n for n in ours.keys() | theirs.keys() if ours.get(n) != theirs.get(n))
-    if differ:
-        raise ReproError(
-            f"{' and '.join(BENCHMARK_PATHS)} differ between {label} and the working "
-            f"tree ({', '.join(differ)}); an A/B needs the same benchmark on both sides"
-        )
+    return sorted(n for n in ours.keys() | theirs.keys() if ours.get(n) != theirs.get(n))
 
 
 # ------------------------------------------------------------------ probes
@@ -219,15 +223,16 @@ def _spread(values: list[float]) -> str:
     return f"{_num(q2)} [{_num(q1)}, {_num(q3)}]"
 
 
-def run_ab(against: str, pairs: int = 5) -> int:
+def run_ab(against: str, pairs: int = PAIRS) -> int:
     """Compare the working tree with revision ``against``; the exit status.
 
-    Returns 1 when any metric fails :func:`judge`, else 0.  Raises
-    :class:`ReproError` for an unknown revision, differing benchmark
-    files, or a probe that fails; the worktree is removed in every case.
+    Returns 1 when any metric fails :func:`judge`, else 0; also 0, with
+    nothing measured, when the trees' benchmark files differ.  Raises
+    :class:`ReproError` for an unknown revision or a probe that fails;
+    the worktree is removed in every case.  ``pairs`` is for tests.
     """
     if pairs < 1:
-        raise ReproError(f"--pairs must be at least 1, got {pairs}")
+        raise ReproError(f"pairs must be at least 1, got {pairs}")
     root = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel"))
     try:
         sha = _git(root, "rev-parse", "--verify", "--quiet", f"{against}^{{commit}}")
@@ -239,9 +244,16 @@ def run_ab(against: str, pairs: int = 5) -> int:
         Metric(f"{PERFBENCH_WORKLOAD}/{e['name']}", e["better"], e["bound"])
         for e in spec["end_to_end"]
     ]
-    print(f"repro bench: base {label} vs change (working tree), {pairs} interleaved pairs")
     with _worktree(root, sha) as base:
-        _require_same_benchmark(base, root, label)
+        differ = _benchmark_differences(base, root)
+        if differ:
+            print(
+                f"repro bench: skipped, nothing measured: {' and '.join(BENCHMARK_PATHS)} "
+                f"differ between {label} and the working tree ({', '.join(differ)}), so "
+                "an A/B would compare two different benchmarks"
+            )
+            return 0
+        print(f"repro bench: base {label} vs change (working tree), {pairs} interleaved pairs")
         samples = _measure(((base, label), (root, "working tree")), pairs)
     print("host: " + "  ".join(f"{k}={v}" for k, v in _host_fingerprint(root).items()))
     print(

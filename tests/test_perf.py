@@ -19,6 +19,7 @@ import pytest
 from repro.bus.bus import BusStats
 from repro.bus.transaction import TransactionKind
 from repro.common.config import MachineConfig
+from repro.common.errors import ReproError
 from repro.experiments.runner import ExperimentRunner, job_payload
 from repro.metrics.results import CpuMetrics, MissCounts, RunMetrics
 from repro.perf import ab
@@ -398,9 +399,7 @@ class TestBenchAgainst:
         assert not list((tmp_path / "tmp").iterdir())
 
     def test_same_code_passes_and_reports(self, repo, capsys):
-        from repro.cli import main
-
-        assert main(["bench", "--against", "HEAD", "--pairs", "2"]) == 0
+        assert run_ab("HEAD", pairs=2) == 0
         out = capsys.readouterr().out
         assert "host: cpu_count=1" in out
         for name in (
@@ -412,13 +411,11 @@ class TestBenchAgainst:
         assert out.rstrip().endswith("repro bench: ok")
 
     def test_regression_fails_and_names_the_metric(self, repo, monkeypatch, capsys):
-        from repro.cli import main
-
         def slower_change(tree, label):
             return {MICROBENCH.name: 4e4 if label == "working tree" else 1e5}
 
         monkeypatch.setattr(ab, "_microbench", slower_change)
-        assert main(["bench", "--against", "HEAD", "--pairs", "3"]) == 1
+        assert run_ab("HEAD", pairs=3) == 1
         assert "FAIL on microbench.events_per_s" in capsys.readouterr().out
 
     def test_unknown_revision_is_named(self, repo, capsys):
@@ -435,20 +432,25 @@ class TestBenchAgainst:
         with pytest.raises(RuntimeError, match="probe crashed"):
             run_ab("HEAD", pairs=1)
 
-    def test_incorrect_perfbench_run_fails(self, repo, monkeypatch, capsys):
-        from repro.cli import main
-
+    def test_incorrect_perfbench_run_fails(self, repo, monkeypatch):
         monkeypatch.setenv("AB_TEST_CORRECT", "0")
-        assert main(["bench", "--against", "HEAD", "--pairs", "1"]) != 0
-        assert "correct: false" in capsys.readouterr().err
+        with pytest.raises(ReproError, match="correct: false"):
+            run_ab("HEAD", pairs=1)
 
-    def test_refuses_a_different_benchmark(self, repo, capsys):
+    def test_a_changed_benchmark_is_skipped_not_failed(self, repo, monkeypatch, capsys):
+        # A change to the benchmark itself cannot be A/B-tested against a
+        # base that runs the old one; the run measures nothing and passes.
         from repro.cli import main
 
+        def unreachable(tree, label):
+            raise AssertionError("a probe ran although the benchmarks differ")
+
+        monkeypatch.setattr(ab, "_microbench", unreachable)
         with (repo / "perfbench" / "run.py").open("a") as fh:
             fh.write("# edited\n")
-        assert main(["bench", "--against", "HEAD"]) != 0
-        assert "perfbench/run.py" in capsys.readouterr().err
+        assert main(["bench", "--against", "HEAD"]) == 0
+        out = capsys.readouterr().out
+        assert "skipped" in out and "perfbench/run.py" in out
 
 
 # ------------------------------------------------------- cache size cap
